@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ca import correspondence_matrix, fit_ca, standardized_residuals
+from .ca import correspondence_matrix, fit_ca, standardized_residuals, total_inertia
 from .cluster import (
     aggregate_by_cluster,
     cut_tree,
     typicality_zscores,
     ward_cluster,
 )
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
 from .io import (
     build_dtm,
     read_contingency_csv,
@@ -119,6 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_table(args):
+    """Read the table argument, refusing one with nothing to decompose."""
+    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    inertia = total_inertia(table)
+    if inertia <= 1e-14:
+        raise DegenerateInputError(
+            f"total inertia {inertia:.3g}: rows and columns are independent, "
+            "so there is no axis to fit"
+        )
+    return table
+
+
 def _residuals_of(table):
     p, r, c = correspondence_matrix(table)
     return standardized_residuals(p, r, c)
@@ -195,7 +207,7 @@ def _prior_factors(z, after):
 
 
 def _cmd_ca(args):
-    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    table = _read_table(args)
     model = fit_ca(table, n_dims=args.dims)
     out = _out_dir(args)
     paths = write_tables_csv(model, out)
@@ -210,7 +222,7 @@ def _cmd_ca(args):
 
 
 def _cmd_sca(args):
-    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    table = _read_table(args)
     variant, constraints = _sca_constraints(args, table.shape)
     model = fit_sparse_ca(
         table, constraints, n_dims=args.dims, variant=variant, col_scale=args.col_scale
@@ -236,7 +248,7 @@ def _cmd_sca(args):
 
 
 def _cmd_tune(args):
-    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    table = _read_table(args)
     z = _residuals_of(table)
     prior = _prior_factors(z, args.after)
     common = dict(criterion=args.criterion, prior_factors=prior,
@@ -267,7 +279,7 @@ def _cmd_tune(args):
 
 
 def _cmd_paths(args):
-    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    table = _read_table(args)
     z = _residuals_of(table)
     prior = _prior_factors(z, args.after)
     wp = weight_paths(z, prior_factors=prior)
@@ -279,7 +291,7 @@ def _cmd_paths(args):
 
 
 def _cmd_cluster(args):
-    table = read_contingency_csv(args.table, drop_empty=args.drop_empty)
+    table = _read_table(args)
     if args.sumabs:
         constraints = [
             SparsityConstraint.coupled(s)

@@ -61,27 +61,21 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)
 
 
-def _one_sparse(x: np.ndarray) -> np.ndarray:
-    j = int(np.abs(x).argmax())
-    u = np.zeros_like(x, dtype=float)
-    u[j] = 1.0 if x[j] >= 0 else -1.0
-    return u
-
-
-def l1_constrained_unit_vector(
-    x: np.ndarray,
-    c: float,
-    return_delta: bool = False,
-    tol: float = 1e-8,
-    max_steps: int = 60,
-):
+def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     """Maximize ``x @ u`` over unit vectors with L1 norm at most ``c``.
 
     The maximizer is a soft-thresholded copy of ``x`` scaled to unit
-    length; the threshold is zero when ``x`` already satisfies the L1
-    bound and is otherwise found by bisection. ``c`` must lie in
-    ``[1, sqrt(len(x))]``: below 1 the constraints are incompatible with
-    a unit vector, above ``sqrt(len(x))`` the bound can never bind.
+    length. The threshold is zero when ``x`` already satisfies the L1
+    bound; otherwise it is computed exactly from one sort of ``|x|``:
+    the L1/L2 ratio of the thresholded vector rises with the number of
+    surviving entries, so the breakpoints fix the survivor count ``k``
+    and a quadratic in the threshold gives the value where the ratio
+    equals ``c``. When ``c`` is 1, or below the square root of the
+    number of entries tied at ``max|x|``, no threshold reaches the
+    budget and the answer is 1-sparse at the first maximal entry.
+    ``c`` must lie in ``[1, sqrt(len(x))]``: below 1 the constraints
+    are incompatible with a unit vector, above ``sqrt(len(x))`` the
+    bound can never bind.
 
     Parameters
     ----------
@@ -89,18 +83,11 @@ def l1_constrained_unit_vector(
         Direction to project. Must contain a nonzero entry.
     c : float
         L1 budget, between 1 and ``sqrt(n)`` inclusive.
-    return_delta : bool
-        When true, also return the threshold that was applied.
-    tol : float
-        Bisection stops once the L1 norm is within ``tol`` of ``c``.
-    max_steps : int
-        Cap on bisection iterations.
 
     Returns
     -------
-    ndarray of shape (n,), or (ndarray, float)
-        Unit vector ``u`` with ``sum(abs(u)) <= c + tol``; with
-        ``return_delta``, the threshold as a second value.
+    ndarray of shape (n,)
+        Unit vector ``u`` with ``sum(abs(u)) <= c`` up to roundoff.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -116,40 +103,39 @@ def l1_constrained_unit_vector(
     if norm2 == 0.0:
         raise DegenerateInputError("cannot project an all-zero vector")
 
-    def feasible(delta: float):
-        shrunk = soft_threshold(x, delta)
-        length = np.linalg.norm(shrunk)
-        if length == 0.0:
-            return None, 0.0
-        u = shrunk / length
-        return u, float(np.abs(u).sum())
-
-    if c == 1.0:
-        u = _one_sparse(x)
-        return (u, float(np.abs(x).max())) if return_delta else u
-
-    u, l1 = feasible(0.0)
-    if l1 <= c + tol:
-        return (u, 0.0) if return_delta else u
-
-    # l1(delta) falls from ||x||_1/||x||_2 toward sqrt(#maximal ties) as
-    # delta approaches max|x|; bisect keeping hi on the feasible side.
-    lo, hi = 0.0, float(np.abs(x).max())
-    best = None
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        u_mid, l1_mid = feasible(mid)
-        if u_mid is not None and l1_mid <= c + tol:
-            best = (u_mid, mid)
-            hi = mid
-            if c - l1_mid <= tol:
-                break
-        else:
-            lo = mid
-    if best is None:
-        # ties at the maximum keep the L1 norm above c; fall back to the
-        # sparsest admissible answer.
-        u = _one_sparse(x)
-        return (u, float(np.abs(x).max())) if return_delta else u
-    u, delta = best
-    return (u, delta) if return_delta else u
+    a = np.sort(np.abs(x))[::-1]
+    n_tied = int(np.count_nonzero(a == a[0]))
+    if c == 1.0 or c < np.sqrt(n_tied):
+        u = np.zeros(n)
+        j = int(np.abs(x).argmax())
+        u[j] = np.sign(x[j])
+        return u
+    # L1 and L2 norms of the top k entries shrunk by the next one, a[k]
+    # (0 past the end), for k = 1..n; summed from the nonnegative gaps
+    # between neighbours so that no large cumulative sums cancel
+    below = np.append(a[1:], 0.0)
+    gaps = a - below
+    counts = np.arange(1, n + 1)
+    l1 = np.cumsum(counts * gaps)
+    l2 = np.sqrt(np.cumsum(gaps * (2.0 * np.append(0.0, l1[:-1]) + counts * gaps)))
+    if l1[-1] <= c * l2[-1]:
+        return x / norm2
+    # The ratio rises with k, so the first k reaching c is the survivor
+    # count. With depths d = max|x| - |x| of the survivors, sigma =
+    # max|x| - threshold solves sum(sigma - d) = c * norm(sigma - d);
+    # depths stay exact for near-ties at the top, where the threshold
+    # itself would round onto one of them.
+    k = n_tied + int(np.argmax(l1[n_tied - 1 :] >= c * l2[n_tied - 1 :]))
+    depth = a[0] - a[:k]
+    mean = depth.mean()
+    spread = k * float(((depth - mean) ** 2).sum())
+    slack = k - c * c
+    # sigma is capped at max|x| - a[k] so that rounding turns on no entry
+    # past the survivors. With the survivors tied (spread 0, or slack <= 0
+    # from rounding) every threshold below them gives the same direction
+    # and the cap is the answer.
+    sigma = a[0] - below[k - 1]
+    if spread > 0.0 and slack > 0.0:
+        sigma = min(sigma, mean + c / k * np.sqrt(spread / slack))
+    u = np.sign(x) * np.clip(sigma - (a[0] - np.abs(x)), 0.0, None)
+    return u / np.linalg.norm(u)

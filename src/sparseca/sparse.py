@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ca import ContingencyTable, correspondence_matrix, standardized_residuals
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, SparseCAError
 from .linalg import full_svd, l1_constrained_unit_vector
 
 VARIANTS = ("doubly_sparse", "column_sparse")
@@ -197,11 +197,19 @@ def pmd_rank1(
         after_u = float(u @ zv)
         # each half-step maximizes the bilinear form over a set that
         # contains the previous iterate
-        assert after_u >= objective - 1e-7 * max(1.0, abs(after_u))
+        if after_u < objective - 1e-7 * max(1.0, abs(after_u)):
+            raise SparseCAError(
+                f"rank-1 ascent broken: row update lowered u'Zv from "
+                f"{objective:.9g} to {after_u:.9g}"
+            )
         zu = z.T @ u
         v_new = l1_constrained_unit_vector(zu, budget_v)
         objective = float(zu @ v_new)
-        assert objective >= after_u - 1e-7 * max(1.0, abs(objective))
+        if objective < after_u - 1e-7 * max(1.0, abs(objective)):
+            raise SparseCAError(
+                f"rank-1 ascent broken: column update lowered u'Zv from "
+                f"{after_u:.9g} to {objective:.9g}"
+            )
         shift = float(np.abs(v_new - v).max())
         v = v_new
         if shift < tol:
@@ -217,7 +225,8 @@ def pmd_rank1(
     if v[anchor] < 0:
         u, v = -u, -v
     alpha = float(u @ z @ v)
-    assert alpha >= 0.0
+    if alpha < 0.0:
+        raise SparseCAError(f"rank-1 fit ended with negative u'Zv = {alpha:.9g}")
     return SparseFactor(
         u=u,
         v=v,
@@ -306,7 +315,12 @@ def column_sparse_coordinates(
     """
     if spread not in COL_SCALES:
         raise InputError(f"spread must be one of {COL_SCALES}, got {spread!r}")
-    assert abs(a**2 @ r - eigenvalue) <= 1e-6 * max(1.0, eigenvalue)
+    variance = float(a**2 @ r)
+    if abs(variance - eigenvalue) > 1e-6 * max(1.0, eigenvalue):
+        raise SparseCAError(
+            f"row coordinates carry weighted variance {variance:.9g}, "
+            f"not the eigenvalue {eigenvalue:.9g}"
+        )
     barycenter = (p.T @ a) / c
     if spread == "barycentric":
         return barycenter

@@ -4,14 +4,9 @@ Three selection routes over a grid of budgets: a sparsity index that
 rewards zeros while penalizing lost fit, a BIC built on the rank-1
 residual, and matrix-completion cross-validation. Grids come in a 1-D
 coupled form (one scale-free value driving both sides) and a 2-D form
-(independent row and column budgets). Grid cells are independent pure
-computations, evaluated through a thread pool capped by the
-``SPARSE_CA_THREADS`` environment variable; results are reduced in
-grid order regardless of execution order.
+(independent row and column budgets).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,26 +20,6 @@ from .sparse import (
     pmd_rank1,
     ppmd_deflate,
 )
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    env = os.environ.get("SPARSE_CA_THREADS", "").strip()
-    if env:
-        try:
-            n_threads = int(env)
-        except ValueError:
-            raise InputError(f"SPARSE_CA_THREADS must be an integer, got {env!r}")
-        if n_threads < 1:
-            raise InputError(f"SPARSE_CA_THREADS must be positive, got {n_threads}")
-    else:
-        n_threads = os.cpu_count() or 1
-    n_threads = min(n_threads, len(items)) or 1
-    if n_threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -263,6 +238,8 @@ def _deflate_through(z: np.ndarray, prior_factors) -> np.ndarray:
 
 def default_coupled_grid(shape: tuple, step: float = 0.01) -> np.ndarray:
     """Coupled budgets from just above the 1-sparse bound up to 1."""
+    if not (np.isfinite(step) and step > 0):
+        raise InputError(f"grid step must be positive and finite, got {step}")
     low = max(1.0 / np.sqrt(shape[0]), 1.0 / np.sqrt(shape[1]))
     start = np.floor(low / step + 1.0 + 1e-9) * step
     return np.round(np.arange(start, 1.0 + step / 2, step), 10)
@@ -340,8 +317,8 @@ def grid_search_1d(
     z_work = _deflate_through(z, prior_factors)
     sigma2_hat = residual_variance_estimate(z_work) if criterion == "bic" else None
 
-    def cell(value):
-        return _evaluate_cell(
+    results = [
+        _evaluate_cell(
             z,
             z_work,
             SparsityConstraint.coupled(value),
@@ -352,8 +329,8 @@ def grid_search_1d(
             seed,
             cv_repeats,
         )
-
-    results = _parallel_map(cell, grid)
+        for value in grid
+    ]
     values = np.array([r[0] for r in results])
     nnz_u = np.array([r[1] for r in results])
     nnz_v = np.array([r[2] for r in results])
@@ -407,13 +384,11 @@ def grid_search_2d(
         raise InputError("grids must contain at least one value")
     z_work = _deflate_through(z, prior_factors)
     sigma2_hat = residual_variance_estimate(z_work) if criterion == "bic" else None
-    pairs = [(su, sv) for su in grid_u for sv in grid_v]
-
-    def cell(pair):
-        return _evaluate_cell(
+    results = [
+        _evaluate_cell(
             z,
             z_work,
-            SparsityConstraint.absolute(*pair),
+            SparsityConstraint.absolute(su, sv),
             prior_factors,
             criterion,
             orientation,
@@ -421,8 +396,9 @@ def grid_search_2d(
             seed,
             cv_repeats,
         )
-
-    results = _parallel_map(cell, pairs)
+        for su in grid_u
+        for sv in grid_v
+    ]
     shape = (grid_u.size, grid_v.size)
     values = np.array([r[0] for r in results]).reshape(shape)
     nnz_u = np.array([r[1] for r in results]).reshape(shape)
@@ -459,20 +435,11 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
         raise InputError("grid must contain at least one value")
     z_work = _deflate_through(z, prior_factors)
 
-    def cell(value):
-        factor = pmd_rank1(z_work, SparsityConstraint.coupled(value))
-        return factor.u, factor.v
-
-    results = _parallel_map(cell, grid)
-    u_path = np.array([u for u, _ in results])
-    v_path = np.array([v for _, v in results])
-    n_weights = z.shape[0] + z.shape[1]
-    zero_fraction = np.array(
-        [
-            ((u == 0).sum() + (v == 0).sum()) / n_weights
-            for u, v in results
-        ]
-    )
+    factors = [pmd_rank1(z_work, SparsityConstraint.coupled(value)) for value in grid]
+    u_path = np.array([f.u for f in factors])
+    v_path = np.array([f.v for f in factors])
+    zeros = (u_path == 0).sum(axis=1) + (v_path == 0).sum(axis=1)
+    zero_fraction = zeros / (z.shape[0] + z.shape[1])
     return WeightPath(
         values=grid, u_path=u_path, v_path=v_path, zero_fraction=zero_fraction
     )

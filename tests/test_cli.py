@@ -126,6 +126,14 @@ class TestScaCommand:
         nnz = sum(1 for row in cols[1:] if row[weight_idx] != "0")
         assert nnz >= 3
 
+    def test_broken_invariant_is_runtime_error(self, table_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sparseca.sparse.l1_constrained_unit_vector", lambda x, c: -x / np.linalg.norm(x)
+        )
+        code = main(["sca", str(table_csv), "--sumabs", "0.6", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "negative u'Zv" in capsys.readouterr().err
+
     def test_conflicting_flags(self, table_csv, capsys):
         assert main(["sca", str(table_csv), "--sumabs", "0.5", "--nnz", "3"]) == 2
         assert "one of" in capsys.readouterr().err
@@ -208,6 +216,34 @@ class TestTuneCommand:
 
     def test_both_grid_flags_rejected(self, small_csv):
         assert main(["tune", str(small_csv), "--grid-1d", "--grid-2d"]) == 2
+
+    def test_zero_step_is_validation_error(self, small_csv, tmp_path, capsys):
+        code = main([
+            "tune", str(small_csv), "--step", "0", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ca"],
+        ["sca", "--sumabs", "0.9", "--dims", "1"],
+        ["tune"],
+        ["paths"],
+        ["cluster", "--k", "2", "--dims", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_inertia_table_is_validation_error(tmp_path, capsys, argv):
+    # rows proportional to each other: the table is exactly independent
+    path = tmp_path / "indep.csv"
+    path.write_text("id,a,b\nx,1,2\ny,2,4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 2
+    assert "total inertia" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPathsCommand:

@@ -80,9 +80,8 @@ class TestSoftThreshold:
 class TestL1ConstrainedUnitVector:
     def test_inactive_constraint_returns_normalized_input(self):
         x = np.array([3.0, 4.0])
-        u, delta = l1_constrained_unit_vector(x, np.sqrt(2.0), return_delta=True)
+        u = l1_constrained_unit_vector(x, np.sqrt(2.0))
         np.testing.assert_allclose(u, [0.6, 0.8])
-        assert delta == 0.0
 
     def test_budget_one_is_one_sparse(self):
         u = l1_constrained_unit_vector(np.array([1.0, -5.0, 4.0]), 1.0)
@@ -93,8 +92,8 @@ class TestL1ConstrainedUnitVector:
         np.testing.assert_array_equal(u, [1.0, 0.0, 0.0])
 
     def test_matches_threshold_sweep_oracle(self):
-        # brute force over thresholds: best feasible objective for the
-        # same solution family the bisection searches
+        # brute force over thresholds: best feasible objective within the
+        # soft-thresholded family the exact projection solves in closed form
         x = np.array([3.0, 2.0, 1.0])
         c = 1.3
         best = -np.inf
@@ -118,6 +117,41 @@ class TestL1ConstrainedUnitVector:
             u = l1_constrained_unit_vector(x, c)
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
             assert np.abs(u).sum() <= c + 1e-6
+
+    def test_binding_budget_is_met_exactly(self, rng):
+        # budgets at sqrt(k) sit on the breakpoints between survivor counts
+        binding = 0
+        for trial in range(400):
+            n = int(rng.integers(2, 300))
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            if trial % 2:
+                c = float(np.sqrt(rng.integers(1, n + 1)))
+            else:
+                c = float(rng.uniform(1.0, np.sqrt(n)))
+            a = np.abs(x)
+            if c == 1.0 or a.sum() <= c * np.linalg.norm(x):
+                continue
+            assert np.count_nonzero(a == a.max()) == 1
+            binding += 1
+            u = l1_constrained_unit_vector(x, c)
+            assert abs(np.abs(u).sum() - c) <= 1e-10 * c
+        assert binding > 200
+
+    def test_near_tied_maxima_stay_feasible(self):
+        # maxima one ulp apart: no threshold is representable between them
+        top = np.nextafter(1.0, 2.0)
+        for x in ([top, 1.0, np.nextafter(1.0, 0.0), 0.5], [10.0, np.nextafter(10.0, 11.0)]):
+            x = np.array(x)
+            for c in (1.0015, 1.2, np.sqrt(2.0) - 1e-12):
+                u = l1_constrained_unit_vector(x, c)
+                assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(u).sum() <= c * (1 + 1e-12)
+                assert x @ u >= np.abs(x).max() * (1 - 1e-12)
+
+    def test_budget_at_tie_count_spreads_over_ties(self):
+        x = np.array([2.0, -2.0, 2.0, 1.0])
+        u = l1_constrained_unit_vector(x, np.sqrt(3.0))
+        np.testing.assert_allclose(u, np.array([1.0, -1.0, 1.0, 0.0]) / np.sqrt(3.0))
 
     def test_tied_maxima_fall_back_to_one_sparse(self):
         u = l1_constrained_unit_vector(np.ones(4), 1.2)

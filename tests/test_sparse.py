@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sparseca.ca import ContingencyTable, fit_ca
-from sparseca.errors import DegenerateInputError, InputError
-from sparseca.linalg import full_svd
+from sparseca.errors import DegenerateInputError, InputError, SparseCAError
+from sparseca.linalg import full_svd, l1_constrained_unit_vector
 from sparseca.sparse import (
     SparsityConstraint,
     column_sparse_coordinates,
@@ -167,6 +169,31 @@ class TestPmdRank1:
         with pytest.raises(InputError, match="resolved"):
             pmd_rank1(z, SparsityConstraint.nonzero_target(2, "cols"))
 
+    @pytest.mark.parametrize("call, side", [(2, "column"), (3, "row")])
+    def test_broken_ascent_raises(self, rng, monkeypatch, call, side):
+        # projection calls run: warm start, then row and column per iteration;
+        # negating one result lowers the objective on that half-step
+        real = l1_constrained_unit_vector
+        calls = itertools.count()
+
+        def worse(x, c):
+            u = real(x, c)
+            return -u if next(calls) == call else u
+
+        monkeypatch.setattr("sparseca.sparse.l1_constrained_unit_vector", worse)
+        z = rng.normal(size=(8, 6))
+        with pytest.raises(SparseCAError, match=f"ascent broken: {side} update"):
+            pmd_rank1(z, SparsityConstraint.absolute(2.0, 2.0))
+
+    def test_negative_alpha_raises(self, rng, monkeypatch):
+        # a sign-flipping normalization holds the singular-vector start
+        # fixed, so no half-step drops and only the final check can fire
+        monkeypatch.setattr(
+            "sparseca.sparse.l1_constrained_unit_vector", lambda x, c: -x / np.linalg.norm(x)
+        )
+        with pytest.raises(SparseCAError, match="negative u'Zv"):
+            pmd_rank1(rng.normal(size=(8, 6)), SparsityConstraint.absolute(2.0, 2.0))
+
 
 class TestPpmdDeflate:
     def test_annihilates_both_directions(self, rng):
@@ -290,6 +317,17 @@ class TestColumnSparseCoordinates:
         np.testing.assert_allclose(bary, 0.0, atol=1e-14)
         with pytest.raises(DegenerateInputError):
             column_sparse_coordinates(p, r, c, a, lam, spread="rescaled")
+
+    def test_mismatched_eigenvalue_raises(self, rng):
+        d = fit_ca(ContingencyTable.from_counts(random_table(rng, 7, 6)))
+        with pytest.raises(SparseCAError, match="weighted variance"):
+            column_sparse_coordinates(
+                d.frequencies,
+                d.row_masses,
+                d.col_masses,
+                d.row_coords[:, 0],
+                2.0 * d.eigenvalues[0],
+            )
 
     def test_unknown_spread(self, rng):
         d = fit_ca(ContingencyTable.from_counts(random_table(rng, 5, 4)))

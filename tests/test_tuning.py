@@ -10,7 +10,6 @@ from sparseca.sparse import (
     ppmd_deflate,
 )
 from sparseca.tuning import (
-    _parallel_map,
     bic_criterion,
     cv_error,
     default_coupled_grid,
@@ -28,29 +27,6 @@ def rank1(rng, shape, scale=3.0):
     v = rng.normal(size=shape[1])
     v /= np.linalg.norm(v)
     return scale * np.outer(u, v)
-
-
-class TestParallelMap:
-    def test_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("SPARSE_CA_THREADS", "4")
-        result = _parallel_map(lambda x: x * x, range(50))
-        assert result == [x * x for x in range(50)]
-
-    def test_single_thread_equivalence(self, monkeypatch):
-        items = list(range(20))
-        monkeypatch.setenv("SPARSE_CA_THREADS", "1")
-        serial = _parallel_map(lambda x: x + 1, items)
-        monkeypatch.setenv("SPARSE_CA_THREADS", "3")
-        threaded = _parallel_map(lambda x: x + 1, items)
-        assert serial == threaded
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SPARSE_CA_THREADS", "many")
-        with pytest.raises(InputError):
-            _parallel_map(lambda x: x, [1])
-        monkeypatch.setenv("SPARSE_CA_THREADS", "0")
-        with pytest.raises(InputError):
-            _parallel_map(lambda x: x, [1])
 
 
 class TestIsCriterion:
@@ -219,16 +195,6 @@ class TestGridSearch1d:
         np.testing.assert_array_equal(first.grid.values, second.grid.values)
         assert first.optimum == second.optimum
 
-    def test_thread_count_does_not_change_result(self, rng, monkeypatch):
-        z = rng.normal(size=(8, 6))
-        grid = default_coupled_grid(z.shape, step=0.1)
-        monkeypatch.setenv("SPARSE_CA_THREADS", "1")
-        serial = grid_search_1d(z, grid=grid, criterion="bic")
-        monkeypatch.setenv("SPARSE_CA_THREADS", "4")
-        threaded = grid_search_1d(z, grid=grid, criterion="bic")
-        np.testing.assert_array_equal(serial.grid.values, threaded.grid.values)
-        assert serial.optimum == threaded.optimum
-
     def test_prior_factors_shift_the_problem(self, rng):
         z = rng.normal(size=(9, 7))
         f1 = pmd_rank1(z, SparsityConstraint.coupled(0.6))
@@ -256,6 +222,11 @@ class TestGridSearch1d:
         assert grid[0] > low
         assert grid[-1] == 1.0
         assert np.allclose(np.diff(grid), 0.01)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_default_grid_rejects_bad_step(self, step):
+        with pytest.raises(InputError, match="step"):
+            default_coupled_grid((10, 9), step=step)
 
 
 class TestGridSearch2d:
