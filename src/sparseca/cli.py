@@ -254,20 +254,20 @@ def _cmd_tune(args):
     common = dict(criterion=args.criterion, prior_factors=prior,
                   orientation=args.orientation, seed=args.seed,
                   cv_repeats=args.repeats)
-    out = _out_dir(args)
     if args.grid_2d:
         grid_u = default_absolute_grid(z.shape[0], points=args.points)
         grid_v = default_absolute_grid(z.shape[1], points=args.points)
         result = grid_search_2d(z, grid_u=grid_u, grid_v=grid_v, **common)
-        render_svg(result, PlotSpec("contour", out_path=out / "contour.svg"))
-        plot_name = "contour.svg"
+        plot_kind = "contour"
         optimum = f"({result.optimum[0]:.6g}, {result.optimum[1]:.6g})"
     else:
         grid = default_coupled_grid(z.shape, step=args.step)
         result = grid_search_1d(z, grid=grid, **common)
-        render_svg(result, PlotSpec("criterion_curve", out_path=out / "criterion_curve.svg"))
-        plot_name = "criterion_curve.svg"
+        plot_kind = "criterion_curve"
         optimum = f"{result.optimum:.6g}"
+    out = _out_dir(args)
+    plot_name = f"{plot_kind}.svg"
+    render_svg(result, PlotSpec(plot_kind, out_path=out / plot_name))
     write_tuning_csv(result, out / "tuning_grid.csv")
     nnz_u, nnz_v = result.optimum_nnz
     print(

@@ -2,7 +2,6 @@
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -31,12 +30,19 @@ class Dendrogram:
 def ward_cluster(coords, labels=None, variant: str = "D2") -> Dendrogram:
     """Agglomerative clustering with Ward's minimum-variance criterion.
 
-    Each step merges the pair of clusters whose union increases the
-    total within-cluster sum of squares the least; ties go to the pair
-    with the lowest node ids. The default "D2" variant reports the
-    square root of twice that increase as the merge height (so two
-    singletons merge at their Euclidean distance); the "D" variant runs
-    the classical recurrence on unsquared distances instead.
+    Both variants run one Lance-Williams recurrence on a distance
+    matrix: merging clusters a and b (sizes n_a, n_b at distance d_ab)
+    puts every other cluster k (size n_k) at
+
+        ((n_a + n_k) d_ka + (n_b + n_k) d_kb - n_k d_ab) / (n_a + n_b + n_k)
+
+    from the union, and each step merges the closest pair. The default
+    "D2" variant runs it on squared Euclidean distances, which makes
+    d_ab twice the increase of the within-cluster sum of squares, and
+    reports sqrt(d_ab) as the merge height (so two singletons merge at
+    their Euclidean distance); the "D" variant runs it on unsquared
+    distances and reports d_ab. Among exactly equal distances the pair
+    with the lowest (smaller node id, larger node id) merges first.
 
     Parameters
     ----------
@@ -62,74 +68,48 @@ def ward_cluster(coords, labels=None, variant: str = "D2") -> Dendrogram:
     labels = list(labels)
     if len(labels) != n:
         raise InputError(f"{len(labels)} labels for {n} points")
-
-    if variant == "D2":
-        merges = _ward_by_cluster_means(coords)
-    else:
-        merges = _ward_by_recurrence(coords)
-    return Dendrogram(merges=merges, labels=labels)
+    return Dendrogram(merges=_ward(coords, squared=variant == "D2"), labels=labels)
 
 
-def _ward_by_cluster_means(coords):
-    """Merge by explicit size/mean bookkeeping; height = sqrt(2 * cost)."""
+def _ward(coords, squared):
+    """Lance-Williams merges on (squared) Euclidean distances.
+
+    Slot i of the distance matrix holds node ``node[i]``; a merge
+    reuses the lower of its two slots for the new node and fills the
+    other with infinity. Infinite entries, the diagonal included, stay
+    infinite under the update.
+    """
     n = coords.shape[0]
-    sizes = {i: 1 for i in range(n)}
-    means = {i: coords[i].copy() for i in range(n)}
+    dist = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        for i, point in enumerate(coords):
+            # stacked 1-d dot products round each sum as ``gap @ gap`` does
+            gap = coords - point
+            dist[i] = (gap[:, None, :] @ gap[:, :, None]).ravel()
+    if not np.all(np.isfinite(dist)):
+        raise InputError("coordinates too far apart: squared distances overflow")
+    if not squared:
+        dist = np.sqrt(dist)
+    np.fill_diagonal(dist, np.inf)
+    node = np.arange(n)
+    size = np.ones(n)
     merges = []
-    next_id = n
-    while len(sizes) > 1:
-        best = None
-        for a, b in combinations(sorted(sizes), 2):
-            na, nb = sizes[a], sizes[b]
-            gap = means[a] - means[b]
-            cost = na * nb / (na + nb) * float(gap @ gap)
-            if best is None or cost < best[0]:
-                best = (cost, a, b)
-        cost, a, b = best
-        merges.append((a, b, float(np.sqrt(2.0 * cost))))
-        na, nb = sizes[a], sizes[b]
-        means[next_id] = (na * means[a] + nb * means[b]) / (na + nb)
-        sizes[next_id] = na + nb
-        for node in (a, b):
-            del sizes[node], means[node]
-        next_id += 1
-    return merges
-
-
-def _ward_by_recurrence(coords):
-    """Classical update on unsquared Euclidean distances."""
-    n = coords.shape[0]
-    sizes = {i: 1 for i in range(n)}
-    dist = {}
-    for a, b in combinations(range(n), 2):
-        dist[(a, b)] = float(np.linalg.norm(coords[a] - coords[b]))
-    merges = []
-    next_id = n
-    while len(sizes) > 1:
-        best = None
-        for a, b in combinations(sorted(sizes), 2):
-            d = dist[(a, b)]
-            if best is None or d < best[0]:
-                best = (d, a, b)
-        d_ab, a, b = best
-        merges.append((a, b, d_ab))
-        na, nb = sizes[a], sizes[b]
-        for k in sorted(sizes):
-            if k in (a, b):
-                continue
-            nk = sizes[k]
-            d_ka = dist[tuple(sorted((k, a)))]
-            d_kb = dist[tuple(sorted((k, b)))]
-            dist[(k, next_id)] = (
-                (na + nk) * d_ka + (nb + nk) * d_kb - nk * d_ab
-            ) / (na + nb + nk)
-        sizes[next_id] = na + nb
-        for node in (a, b):
-            del sizes[node]
-        dist = {
-            pair: d for pair, d in dist.items() if a not in pair and b not in pair
-        }
-        next_id += 1
+    for t in range(n - 1):
+        d_ab = dist.min()
+        rows, cols = np.nonzero(dist == d_ab)
+        low = np.minimum(node[rows], node[cols])
+        high = np.maximum(node[rows], node[cols])
+        pick = np.argmin(low * (2 * n) + high)
+        i, j = sorted((rows[pick], cols[pick]))
+        merges.append((int(low[pick]), int(high[pick]),
+                       float(np.sqrt(d_ab) if squared else d_ab)))
+        n_a, n_b = size[i], size[j]
+        merged = ((n_a + size) * dist[i] + (n_b + size) * dist[j]
+                  - size * d_ab) / (n_a + n_b + size)
+        dist[i], dist[:, i] = merged, merged
+        dist[j], dist[:, j] = np.inf, np.inf
+        size[i] = n_a + n_b
+        node[i] = n + t
     return merges
 
 
@@ -159,7 +139,11 @@ def cut_tree(dendrogram: Dendrogram, k: int) -> np.ndarray:
         if root not in relabel:
             relabel[root] = len(relabel)
         assignment[i] = relabel[root]
-    assert len(relabel) == k
+    if len(relabel) != k:
+        raise InputError(
+            f"dendrogram gives {len(relabel)} clusters for k={k}: its merges"
+            f" do not join {n} leaves into one tree"
+        )
     return assignment
 
 

@@ -9,6 +9,7 @@ pipeline at realistic scale without network access.
 import numpy as np
 
 from .ca import ContingencyTable
+from .errors import DegenerateInputError, InputError, SparseCAError
 
 MUSIC_ROWS = ["Red", "Orange", "Yellow", "Green", "Blue",
               "Purple", "White", "Black", "Pink", "Brown"]
@@ -38,8 +39,10 @@ def colors_of_music() -> ContingencyTable:
     column sums to 22 and the grand total is 198.
     """
     counts = np.array(_MUSIC_COUNTS, dtype=float)
-    assert counts.shape == (10, 9)
-    assert (counts.sum(axis=0) == 22).all()
+    if counts.shape != (10, 9):
+        raise SparseCAError(f"bundled music table has shape {counts.shape}, not (10, 9)")
+    if np.any(counts.sum(axis=0) != 22):
+        raise SparseCAError("bundled music table has a column not summing to 22")
     return ContingencyTable.from_counts(counts, list(MUSIC_ROWS), list(MUSIC_COLS))
 
 
@@ -47,6 +50,8 @@ _SYLLABLES = ["ba", "be", "bo", "da", "de", "di", "ga", "go", "ka", "ke",
               "la", "le", "li", "lo", "ma", "me", "mi", "mo", "na", "ne",
               "no", "pa", "pe", "po", "ra", "re", "ri", "ro", "sa", "se",
               "si", "so", "ta", "te", "ti", "to", "va", "ve", "vi", "vo"]
+# distinct two- and three-syllable stems
+_N_STEMS = len(_SYLLABLES) ** 2 + len(_SYLLABLES) ** 3
 
 
 def _stem_labels(n: int, rng) -> list:
@@ -74,7 +79,11 @@ def presidents_scale_corpus(n_docs: int = 43, vocab_size: int = 900,
     leaves roughly 700-800 of the initial vocab_size terms. Deterministic
     for a given seed.
     """
-    assert n_docs >= 4 and vocab_size >= 100
+    if n_docs < 1:
+        raise InputError(f"n_docs must be at least 1, got {n_docs}")
+    # the factor word blocks sit at vocabulary positions 15..319
+    if not 320 <= vocab_size <= _N_STEMS:
+        raise InputError(f"vocab_size must be in [320, {_N_STEMS}], got {vocab_size}")
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n_docs)
     x = 2.0 * t - 1.0
@@ -103,8 +112,11 @@ def presidents_scale_corpus(n_docs: int = 43, vocab_size: int = 900,
 
     keep = counts.sum(axis=0) > min_total
     counts = counts[:, keep]
-    assert counts.shape[1] >= 300
-    assert (counts.sum(axis=1) > 0).all()
+    if counts.shape[1] < 300:
+        raise DegenerateInputError(
+            f"only {counts.shape[1]} terms occur more than min_total={min_total}"
+            " times; the corpus needs at least 300"
+        )
 
     doc_labels = [f"speech_{i + 1:02d}" for i in range(n_docs)]
     term_labels = _stem_labels(vocab_size, np.random.default_rng(seed + 1))

@@ -73,7 +73,8 @@ class _Frame:
                  width=WIDTH - 2 * MARGIN, height=HEIGHT - 2 * MARGIN, pad=0.05):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        assert xs.size and ys.size
+        if xs.size == 0 or ys.size == 0:
+            raise InputError("nothing to plot: no coordinates")
         self.xmin, self.xmax = _padded(xs, pad)
         self.ymin, self.ymax = _padded(ys, pad)
         self.x0, self.y0, self.width, self.height = x0, y0, width, height

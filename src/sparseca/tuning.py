@@ -202,6 +202,8 @@ def cv_error(
     over folds and repeats. The same seed always yields the same folds
     and therefore the same error.
     """
+    if folds < 1 or repeats < 1:
+        raise InputError(f"folds and repeats must be at least 1, got {folds} and {repeats}")
     z = np.asarray(z, dtype=float)
     n_cells = z.size
     # folds partition a permutation of the cells, so cap the holdout so

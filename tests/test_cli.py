@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, emitted files, reports."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -218,11 +219,32 @@ class TestTuneCommand:
         assert main(["tune", str(small_csv), "--grid-1d", "--grid-2d"]) == 2
 
     def test_zero_step_is_validation_error(self, small_csv, tmp_path, capsys):
-        code = main([
-            "tune", str(small_csv), "--step", "0", "--out-dir", str(tmp_path / "out"),
-        ])
+        out = tmp_path / "out"
+        code = main(["tune", str(small_csv), "--step", "0", "--out-dir", str(out)])
         assert code == 2
         assert "step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_points_is_validation_error(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "tune", str(small_csv), "--grid-2d", "--points", "0", "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_cv_repeats_is_validation_error(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "tune", str(small_csv), "--criterion", "cv", "--repeats", "0",
+                "--out-dir", str(out),
+            ])
+        assert code == 2
+        assert "repeats must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

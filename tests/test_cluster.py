@@ -1,9 +1,11 @@
 """Clustering and typicality tests.
 
-The main oracle recomputes the merge history with the classical
-stepwise-update recurrence on squared distances, fully independent of
-the size/mean bookkeeping in the implementation; scipy's agglomerative
-routine serves as a second outside check.
+Three oracles check the merge history: the Lance-Williams recurrence
+on a dict of node pairs, scanned in node-id order (on squared or plain
+distances), free of the implementation's matrix-slot bookkeeping;
+Ward's definition of the D2 height from the members of the merged
+clusters, which uses no recurrence at all; and scipy's agglomerative
+routine as an outside check.
 """
 
 import warnings
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseca.cluster import (
+    WARD_VARIANTS,
     Dendrogram,
     aggregate_by_cluster,
     cut_tree,
@@ -25,14 +28,14 @@ from sparseca.cluster import (
 from sparseca.errors import InputError
 
 
-def recurrence_merges(points):
-    """Reference merge history on squared Euclidean distances."""
+def recurrence_merges(points, squared=True):
+    """Reference merge history on squared or plain Euclidean distances."""
     n = len(points)
     sizes = {i: 1 for i in range(n)}
     d2 = {}
     for a, b in combinations(range(n), 2):
         gap = points[a] - points[b]
-        d2[(a, b)] = float(gap @ gap)
+        d2[(a, b)] = float(gap @ gap) if squared else float(np.sqrt(gap @ gap))
     merges = []
     nxt = n
     while len(sizes) > 1:
@@ -41,7 +44,7 @@ def recurrence_merges(points):
             if best is None or d2[(a, b)] < best[0]:
                 best = (d2[(a, b)], a, b)
         val, a, b = best
-        merges.append((a, b, float(np.sqrt(val))))
+        merges.append((a, b, float(np.sqrt(val)) if squared else val))
         na, nb = sizes[a], sizes[b]
         for k in sorted(sizes):
             if k in (a, b):
@@ -83,12 +86,55 @@ class TestWardCluster:
         for _ in range(25):
             n = int(rng.integers(4, 11))
             points = rng.normal(size=(n, 3))
-            got = ward_cluster(points).merges
-            want = recurrence_merges(points)
-            assert [m[:2] for m in got] == [m[:2] for m in want]
-            np.testing.assert_allclose(
-                [m[2] for m in got], [m[2] for m in want], atol=1e-10
-            )
+            for variant in WARD_VARIANTS:
+                got = ward_cluster(points, variant=variant).merges
+                want = recurrence_merges(points, squared=variant == "D2")
+                assert [m[:2] for m in got] == [m[:2] for m in want]
+                np.testing.assert_allclose(
+                    [m[2] for m in got], [m[2] for m in want], atol=1e-10
+                )
+
+    def test_d2_heights_match_sum_of_squares_definition(self, rng):
+        def within_ss(points):
+            return float(((points - points.mean(axis=0)) ** 2).sum())
+
+        for _ in range(10):
+            n = int(rng.integers(2, 16))
+            points = rng.normal(size=(n, 3))
+            merges = ward_cluster(points).merges
+            members = [frozenset([i]) for i in range(n)] + leaf_sets(merges, n)
+            for a, b, height in merges:
+                pa = points[sorted(members[a])]
+                pb = points[sorted(members[b])]
+                increase = within_ss(np.vstack([pa, pb])) - within_ss(pa) - within_ss(pb)
+                assert height == pytest.approx(np.sqrt(2.0 * increase), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["D2", "D"])
+    def test_unit_square_ties_go_to_lowest_node_ids(self, variant):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        merges = ward_cluster(square, variant=variant).merges
+        assert [m[:2] for m in merges] == [(0, 1), (2, 3), (4, 5)]
+
+    @pytest.mark.parametrize(
+        "variant, points",
+        [
+            # {0, 1} has centroid 0; 4/3 * |leaf 2|^2 = 36 = |leaf 2 - leaf 3|^2
+            ("D2", [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 3.0, 3.0], [9.0, 3.0, 3.0]]),
+            # (2 * 3 + 2 * 3 - 0) / 3 = 4 = |7 - 3|
+            ("D", [[0.0], [0.0], [3.0], [7.0]]),
+        ],
+    )
+    def test_tie_with_merged_node_goes_to_lower_node_ids(self, variant, points):
+        # node 4 = {0, 1} is tied with leaf 3 as leaf 2's nearest; the
+        # pair (2, 3) has the lower ids, though node 4 sits in an
+        # earlier matrix slot than leaf 3
+        merges = ward_cluster(np.array(points), variant=variant).merges
+        assert [m[:2] for m in merges] == [(0, 1), (2, 3), (4, 5)]
+        assert merges[1][2] == (6.0 if variant == "D2" else 4.0)
+
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(InputError, match="overflow"):
+            ward_cluster(np.array([[0.0], [1e200]]))
 
     def test_matches_scipy_heights_and_partitions(self, rng):
         points = rng.normal(size=(20, 4))
@@ -192,6 +238,16 @@ class TestCutTree:
             cut_tree(d, 0)
         with pytest.raises(InputError):
             cut_tree(d, 4)
+
+    @pytest.mark.parametrize(
+        "merges",
+        [[], [(0, 1, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]],
+        ids=["no merges", "too few merges", "leaf merged twice"],
+    )
+    def test_malformed_dendrogram_rejected(self, merges):
+        d = Dendrogram(merges=merges, labels=["a", "b", "c"])
+        with pytest.raises(InputError, match="one tree"):
+            cut_tree(d, 1)
 
     def test_merge_node_numbering(self, rng):
         points = rng.normal(size=(8, 2))

@@ -16,7 +16,7 @@ from sparseca.cluster import cut_tree, typicality_zscores, ward_cluster
 from sparseca.errors import InputError
 from sparseca.sparse import SparsityConstraint, fit_sparse_ca
 from sparseca.svg import PlotSpec, render_svg
-from sparseca.tuning import grid_search_1d, grid_search_2d, weight_paths
+from sparseca.tuning import WeightPath, grid_search_1d, grid_search_2d, weight_paths
 
 from conftest import random_table
 
@@ -200,6 +200,12 @@ class TestWeightPath:
                 if el.attrib.get("class") in ("u-path", "v-path")]
         assert len(dots) == sum(model.residuals.shape)
         assert not tagged(root, "polyline")
+
+    def test_empty_path_rejected(self):
+        wp = WeightPath(values=np.array([]), u_path=np.zeros((0, 3)),
+                        v_path=np.zeros((0, 2)), zero_fraction=np.array([]))
+        with pytest.raises(InputError, match="nothing to plot"):
+            render_svg(wp, PlotSpec("weight_path"))
 
 
 class TestDendrogramPlot:

@@ -161,6 +161,12 @@ class TestCvError:
         with pytest.raises(InputError):
             cv_error(z, SparsityConstraint.coupled(0.9), folds=10)
 
+    @pytest.mark.parametrize("kwargs", [{"folds": 0}, {"folds": -1}, {"repeats": 0}])
+    def test_nonpositive_folds_or_repeats_rejected(self, rng, kwargs):
+        z = rng.normal(size=(6, 5))
+        with pytest.raises(InputError, match="at least 1"):
+            cv_error(z, SparsityConstraint.coupled(0.9), **kwargs)
+
 
 class TestGridSearch1d:
     def test_singleton_grid_is_unconstrained(self, rng):
