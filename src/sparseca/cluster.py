@@ -117,10 +117,24 @@ def cut_tree(dendrogram: Dendrogram, k: int) -> np.ndarray:
     """Assignment into ``k`` clusters by dropping the k-1 highest merges.
 
     Cluster ids are 0..k-1 in order of first appearance by leaf index.
+    Merge ``t`` must join two distinct node ids below ``n + t``, neither
+    of them merged before; otherwise the dendrogram is rejected.
     """
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
+    merged = [False] * (n + len(dendrogram.merges))
+    for t, (a, b, _height) in enumerate(dendrogram.merges):
+        if not (
+            all(isinstance(x, (int, np.integer)) and 0 <= x < n + t for x in (a, b))
+            and a != b
+            and not (merged[a] or merged[b])
+        ):
+            raise InputError(
+                f"merge {t} joins ({a}, {b}), not two distinct unmerged nodes"
+                f" below {n + t}: the merges do not join {n} leaves into one tree"
+            )
+        merged[a] = merged[b] = True
     parent = list(range(n + len(dendrogram.merges)))
 
     def find(node):

@@ -20,6 +20,8 @@ from .linalg import full_svd, l1_constrained_unit_vector
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
+# spacing of the budget grid walked by nnz_target_search
+NNZ_GRID_STEP = 0.2
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,7 @@ def pmd_rank1(
     constraint: SparsityConstraint,
     max_iter: int = 200,
     tol: float = 1e-7,
+    start: np.ndarray | None = None,
 ) -> SparseFactor:
     """Penalized rank-1 fit of ``z`` by alternating L1 projections.
 
@@ -161,6 +164,11 @@ def pmd_rank1(
         Budget specification. ``nonzero_target`` must be resolved first.
     max_iter, tol : int, float
         Iteration cap and convergence threshold on the column weights.
+    start : ndarray of shape (n_cols,), optional
+        The leading right singular vector of ``z``, ``full_svd(z).V[:, 0]``.
+        A search that fits many budgets to one matrix takes that SVD once
+        and passes the vector to every fit; when omitted, the fit takes
+        the SVD itself. The fit starts from its feasible projection.
 
     Returns
     -------
@@ -176,11 +184,24 @@ def pmd_rank1(
     if np.linalg.norm(z) == 0.0:
         raise DegenerateInputError("cannot decompose an all-zero matrix")
     budget_u, budget_v = constraint.budgets(z.shape)
+    if start is None:
+        start = full_svd(z).V[:, 0]
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (z.shape[1],):
+            raise InputError(
+                f"start vector of shape {start.shape} does not match "
+                f"{z.shape[1]} columns"
+            )
+        if not np.all(np.isfinite(start)):
+            raise InputError("start vector contains non-finite entries")
+        if not np.any(start):
+            raise DegenerateInputError("start vector is all zero")
 
     # the raw leading singular vector can exceed the L1 budget, so warm
     # start from its feasible projection; with an inactive budget this is
     # the singular vector itself
-    v = l1_constrained_unit_vector(full_svd(z).V[:, 0], budget_v)
+    v = l1_constrained_unit_vector(start, budget_v)
     u = np.zeros(z.shape[0])
     objective = -np.inf
     converged = False
@@ -344,16 +365,18 @@ def nnz_target_search(
     z: np.ndarray,
     target: int,
     axis: str = "cols",
-    step: float = 0.2,
+    start: np.ndarray | None = None,
 ) -> NnzSearchResult:
     """Smallest grid budget whose fit keeps at least ``target`` weights.
 
     Walks a grid from 1 to the square root of the axis length in
-    increments of ``step``, fitting a rank-1 component per value with
-    the other side unpenalized, and returns the first budget reaching
-    ``target`` nonzeros on ``axis``. If no grid value reaches it, the
-    closest achieving budget is returned with ``target_met=False`` and
-    a warning.
+    increments of ``NNZ_GRID_STEP``, fitting a rank-1 component per
+    value with the other side unpenalized, and returns the first budget
+    reaching ``target`` nonzeros on ``axis``. If no grid value reaches
+    it, the closest achieving budget is returned with
+    ``target_met=False`` and a warning. Every fit warm-starts from
+    ``start``, the leading right singular vector of ``z``; it is taken
+    from one SVD of ``z`` when the caller does not supply it.
     """
     z = np.asarray(z, dtype=float)
     if axis not in ("rows", "cols"):
@@ -361,14 +384,16 @@ def nnz_target_search(
     length = z.shape[0] if axis == "rows" else z.shape[1]
     if not 1 <= target <= length:
         raise InputError(f"target must be in [1, {length}], got {target}")
-    grid = np.arange(1.0, np.sqrt(length) + 1e-9, step)
+    if start is None:
+        start = full_svd(z).V[:, 0]
+    grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
     best = None
     for value in grid:
         if axis == "cols":
             constraint = SparsityConstraint.unpenalized_rows(value)
         else:
             constraint = SparsityConstraint.absolute(value, np.sqrt(z.shape[1]))
-        factor = pmd_rank1(z, constraint)
+        factor = pmd_rank1(z, constraint, start=start)
         nnz = factor.nnz_v if axis == "cols" else factor.nnz_u
         if nnz >= target:
             return NnzSearchResult(float(value), nnz, True)
@@ -478,11 +503,11 @@ def explained_variance(z: np.ndarray, weight_columns: np.ndarray) -> float:
 
 
 def _resolve_constraint(
-    z: np.ndarray, constraint: SparsityConstraint, variant: str
+    z: np.ndarray, constraint: SparsityConstraint, variant: str, start: np.ndarray
 ) -> SparsityConstraint:
     if constraint.mode != "nonzero_target":
         return constraint
-    found = nnz_target_search(z, constraint.count, axis=constraint.axis)
+    found = nnz_target_search(z, constraint.count, axis=constraint.axis, start=start)
     if constraint.axis == "cols":
         if variant == "column_sparse":
             return SparsityConstraint.unpenalized_rows(found.value)
@@ -564,8 +589,11 @@ def fit_sparse_ca(
     cumulative = []
     z_work = z0
     for constraint in constraints:
-        resolved = _resolve_constraint(z_work, constraint, variant)
-        factor = pmd_rank1(z_work, resolved)
+        # one SVD per deflated matrix warm-starts both the budget search
+        # and the dimension's fit
+        start = full_svd(z_work).V[:, 0]
+        resolved = _resolve_constraint(z_work, constraint, variant, start)
+        factor = pmd_rank1(z_work, resolved, start=start)
         # the variance reported for a dimension is measured against the
         # original residual matrix, not the deflated one it was fitted on
         alpha = float(factor.u @ z0 @ factor.v)

@@ -5,6 +5,13 @@ rewards zeros while penalizing lost fit, a BIC built on the rank-1
 residual, and matrix-completion cross-validation. Grids come in a 1-D
 coupled form (one scale-free value driving both sides) and a 2-D form
 (independent row and column budgets).
+
+A search takes one SVD per matrix, not one per grid cell: the leading
+right singular vector of the deflated matrix warm-starts every cell's
+rank-1 fit, and its singular values give the BIC variance scale. The
+sparsity index compares against plain SVD components of the undeflated
+matrix, which is a second SVD only when earlier dimensions were
+deflated out.
 """
 
 from dataclasses import dataclass
@@ -81,6 +88,7 @@ def is_criterion(
     total_params: int | None = None,
     nnz_total: int | None = None,
     orientation: str = "tradeoff",
+    full_fit: float | None = None,
 ) -> float:
     """Index of sparsity for a set of fitted factors.
 
@@ -102,6 +110,10 @@ def is_criterion(
         derived from the factors when omitted.
     orientation : str
         "tradeoff" (default) or "printed".
+    full_fit : float, optional
+        The reference fit: ``explained_variance(z, full_svd(z).V[:, :k])``
+        for ``k = len(factors)``. A grid search computes it once for all
+        its cells; when omitted it is computed here from an SVD of ``z``.
     """
     factors = list(factors)
     if not factors:
@@ -134,23 +146,38 @@ def is_criterion(
         return 0.0
     v_cols = np.column_stack([f.v for f in factors])
     fit_sparse = explained_variance(z, v_cols)
-    fit_full = explained_variance(z, full_svd(z).V[:, : len(factors)])
+    if full_fit is None:
+        full_fit = explained_variance(z, full_svd(z).V[:, : len(factors)])
     if orientation == "tradeoff":
-        ratio = fit_sparse / fit_full if fit_full > 0 else 0.0
+        ratio = fit_sparse / full_fit if full_fit > 0 else 0.0
     else:
-        ratio = fit_full / fit_sparse if fit_sparse > 0 else np.inf
+        ratio = full_fit / fit_sparse if fit_sparse > 0 else np.inf
     return float(ratio * zero_fraction**2)
 
 
-def residual_variance_estimate(z: np.ndarray) -> float:
+def residual_variance_estimate(
+    z: np.ndarray, singular_values: np.ndarray | None = None
+) -> float:
     """Error-variance scale for the BIC: mean squared residual of the
-    unconstrained rank-1 fit, with one degree of freedom per weight."""
+    unconstrained rank-1 fit, with one degree of freedom per weight.
+
+    ``singular_values`` are those of ``z``, ``full_svd(z).s``; a grid
+    search passes the ones of the SVD it already took. When omitted
+    they are computed here.
+    """
     z = np.asarray(z, dtype=float)
     n_cells = z.size
     df_full = z.shape[0] + z.shape[1]
     if n_cells <= df_full:
         raise InputError("matrix too small to estimate a residual variance")
-    sigma = full_svd(z).s
+    if singular_values is None:
+        sigma = full_svd(z).s
+    else:
+        sigma = np.asarray(singular_values, dtype=float)
+        if sigma.shape != (min(z.shape),):
+            raise InputError(
+                f"{sigma.shape} singular values for a matrix of shape {z.shape}"
+            )
     residual = float((sigma[1:] ** 2).sum())
     return residual / (n_cells - df_full)
 
@@ -266,29 +293,39 @@ def _pick_optimum(cells, maximize):
     return best
 
 
-def _evaluate_cell(
-    z_original,
-    z_work,
-    constraint,
-    prior_factors,
-    criterion,
-    orientation,
-    sigma2_hat,
-    seed,
-    cv_repeats,
-):
-    factor = pmd_rank1(z_work, constraint)
-    chain = list(prior_factors) + [factor]
-    fit = explained_variance(z_original, np.column_stack([f.v for f in chain]))
-    if criterion == "is":
-        value = is_criterion(z_original, chain, orientation=orientation)
-    elif criterion == "bic":
-        value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
-    elif criterion == "cv":
-        value = cv_error(z_work, constraint, seed=seed, repeats=cv_repeats)
-    else:
+def _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats):
+    """Fit-and-score function for the cells of one grid search.
+
+    What the cells share is computed once, before the first cell: one
+    SVD of the deflated matrix gives every cell's warm start and the BIC
+    variance scale, and the IS reference fit reuses it unless prior
+    factors make the undeflated matrix a different one.
+    """
+    if criterion not in ("is", "bic", "cv"):
         raise InputError(f"criterion must be 'is', 'bic' or 'cv', got {criterion!r}")
-    return value, factor.nnz_u, factor.nnz_v, fit
+    prior_factors = list(prior_factors)
+    z_work = _deflate_through(z, prior_factors)
+    svd = full_svd(z_work)
+    start = svd.V[:, 0]
+    sigma2_hat = residual_variance_estimate(z_work, svd.s) if criterion == "bic" else None
+    full_fit = None
+    if criterion == "is":
+        reference = full_svd(z) if prior_factors else svd
+        full_fit = explained_variance(z, reference.V[:, : len(prior_factors) + 1])
+
+    def evaluate(constraint):
+        factor = pmd_rank1(z_work, constraint, start=start)
+        chain = prior_factors + [factor]
+        fit = explained_variance(z, np.column_stack([f.v for f in chain]))
+        if criterion == "is":
+            value = is_criterion(z, chain, orientation=orientation, full_fit=full_fit)
+        elif criterion == "bic":
+            value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
+        else:
+            value = cv_error(z_work, constraint, seed=seed, repeats=cv_repeats)
+        return value, factor.nnz_u, factor.nnz_v, fit
+
+    return evaluate
 
 
 def grid_search_1d(
@@ -316,23 +353,8 @@ def grid_search_1d(
         raise InputError("grid must contain at least one value")
     if np.any(np.diff(grid) <= 0):
         raise InputError("grid values must be strictly increasing")
-    z_work = _deflate_through(z, prior_factors)
-    sigma2_hat = residual_variance_estimate(z_work) if criterion == "bic" else None
-
-    results = [
-        _evaluate_cell(
-            z,
-            z_work,
-            SparsityConstraint.coupled(value),
-            prior_factors,
-            criterion,
-            orientation,
-            sigma2_hat,
-            seed,
-            cv_repeats,
-        )
-        for value in grid
-    ]
+    evaluate = _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats)
+    results = [evaluate(SparsityConstraint.coupled(value)) for value in grid]
     values = np.array([r[0] for r in results])
     nnz_u = np.array([r[1] for r in results])
     nnz_v = np.array([r[2] for r in results])
@@ -384,22 +406,9 @@ def grid_search_2d(
     grid_v = np.asarray(grid_v, dtype=float)
     if grid_u.size == 0 or grid_v.size == 0:
         raise InputError("grids must contain at least one value")
-    z_work = _deflate_through(z, prior_factors)
-    sigma2_hat = residual_variance_estimate(z_work) if criterion == "bic" else None
+    evaluate = _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats)
     results = [
-        _evaluate_cell(
-            z,
-            z_work,
-            SparsityConstraint.absolute(su, sv),
-            prior_factors,
-            criterion,
-            orientation,
-            sigma2_hat,
-            seed,
-            cv_repeats,
-        )
-        for su in grid_u
-        for sv in grid_v
+        evaluate(SparsityConstraint.absolute(su, sv)) for su in grid_u for sv in grid_v
     ]
     shape = (grid_u.size, grid_v.size)
     values = np.array([r[0] for r in results]).reshape(shape)
@@ -436,8 +445,11 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
     if grid.size == 0:
         raise InputError("grid must contain at least one value")
     z_work = _deflate_through(z, prior_factors)
-
-    factors = [pmd_rank1(z_work, SparsityConstraint.coupled(value)) for value in grid]
+    start = full_svd(z_work).V[:, 0]
+    factors = [
+        pmd_rank1(z_work, SparsityConstraint.coupled(value), start=start)
+        for value in grid
+    ]
     u_path = np.array([f.u for f in factors])
     v_path = np.array([f.v for f in factors])
     zeros = (u_path == 0).sum(axis=1) + (v_path == 0).sum(axis=1)

@@ -241,8 +241,20 @@ class TestCutTree:
 
     @pytest.mark.parametrize(
         "merges",
-        [[], [(0, 1, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]],
-        ids=["no merges", "too few merges", "leaf merged twice"],
+        [
+            [],
+            [(0, 1, 1.0)],
+            [(0, 1, 1.0), (0, 1, 2.0)],
+            [(0, 5, 1.0), (2, 3, 1.0)],
+            [(-1, 0, 1.0), (1, 2, 1.0)],
+        ],
+        ids=[
+            "no merges",
+            "too few merges",
+            "leaf merged twice",
+            "node id not yet made",
+            "negative node id",
+        ],
     )
     def test_malformed_dendrogram_rejected(self, merges):
         d = Dendrogram(merges=merges, labels=["a", "b", "c"])

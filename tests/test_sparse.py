@@ -195,6 +195,43 @@ class TestPmdRank1:
             pmd_rank1(rng.normal(size=(8, 6)), SparsityConstraint.absolute(2.0, 2.0))
 
 
+    def test_supplied_start_is_bit_identical(self, rng):
+        z = rng.normal(size=(9, 7))
+        for constraint in (
+            SparsityConstraint.coupled(0.6),
+            SparsityConstraint.unpenalized_rows(1.4),
+            inactive(z.shape),
+        ):
+            own = pmd_rank1(z, constraint)
+            given = pmd_rank1(z, constraint, start=full_svd(z).V[:, 0])
+            np.testing.assert_array_equal(given.u, own.u)
+            np.testing.assert_array_equal(given.v, own.v)
+            assert (given.alpha, given.n_iter) == (own.alpha, own.n_iter)
+
+    def test_supplied_start_skips_the_svd(self, rng, svd_calls):
+        z = rng.normal(size=(9, 7))
+        start = np.linalg.svd(z)[2][0]
+        pmd_rank1(z, SparsityConstraint.coupled(0.6), start=start)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize(
+        "start, error",
+        [
+            (np.ones(5), InputError),
+            (np.ones((6, 1)), InputError),
+            (np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0]), InputError),
+            (np.array([1.0, np.inf, 0.0, 0.0, 0.0, 0.0]), InputError),
+            (np.zeros(6), DegenerateInputError),
+        ],
+        ids=["short", "column", "nan", "inf", "all zero"],
+    )
+    def test_bad_start_rejected(self, rng, start, error):
+        z = rng.normal(size=(8, 6))
+        with pytest.raises(InputError, match="start") as info:
+            pmd_rank1(z, SparsityConstraint.coupled(0.7), start=start)
+        assert type(info.value) is error
+
+
 class TestPpmdDeflate:
     def test_annihilates_both_directions(self, rng):
         for _ in range(20):
@@ -376,6 +413,19 @@ class TestNnzTargetSearch:
         assert not result.target_met
         assert result.nnz < 5
 
+    def test_one_svd_per_search(self, rng, svd_calls):
+        z = rng.normal(size=(12, 30))
+        result = nnz_target_search(z, 20, axis="cols")
+        assert result.value > 2.0
+        assert svd_calls == [(12, 30)]
+
+    def test_supplied_start_gives_the_same_budget(self, rng, svd_calls):
+        z = rng.normal(size=(12, 30))
+        own = nnz_target_search(z, 20, axis="cols")
+        given = nnz_target_search(z, 20, axis="cols", start=full_svd(z).V[:, 0])
+        assert given == own
+        assert len(svd_calls) == 1
+
     def test_bad_target(self, rng):
         z = rng.normal(size=(6, 5))
         with pytest.raises(InputError):
@@ -543,6 +593,17 @@ class TestFitSparseCa:
             variant="column_sparse",
         )
         assert model.factors[0].nnz_v >= 4
+
+    def test_one_svd_per_dimension_with_nonzero_target(self, rng, svd_calls):
+        t = ContingencyTable.from_counts(random_table(rng, 12, 30, total=3000))
+        model = fit_sparse_ca(
+            t,
+            SparsityConstraint.nonzero_target(20, "cols"),
+            n_dims=2,
+            variant="column_sparse",
+        )
+        assert [f.nnz_v >= 20 for f in model.factors] == [True, True]
+        assert svd_calls == [(12, 30), (12, 30)]
 
     def test_dimension_validation(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 5, 4))

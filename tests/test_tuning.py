@@ -78,6 +78,17 @@ class TestIsCriterion:
         expected = fit_sparse / fit_full * (zeros / 32) ** 2
         assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_supplied_full_fit_is_used(self, rng):
+        z = rng.normal(size=(9, 7))
+        factor = pmd_rank1(z, SparsityConstraint.coupled(0.6))
+        reference = explained_variance(z, full_svd(z).V[:, :1])
+        assert is_criterion(z, [factor], full_fit=reference) == is_criterion(
+            z, [factor]
+        )
+        assert is_criterion(z, [factor], full_fit=2 * reference) == pytest.approx(
+            is_criterion(z, [factor]) / 2, rel=1e-12
+        )
+
     def test_validation(self, rng):
         z = rng.normal(size=(5, 4))
         factor = pmd_rank1(z, SparsityConstraint.coupled(0.7))
@@ -122,6 +133,16 @@ class TestBicCriterion:
         sigma = np.linalg.svd(z, compute_uv=False)
         expected = (sigma[1:] ** 2).sum() / (54 - 15)
         assert residual_variance_estimate(z) == pytest.approx(expected, rel=1e-10)
+
+    def test_variance_estimate_takes_given_singular_values(self, rng, svd_calls):
+        z = rng.normal(size=(9, 6))
+        sigma = np.linalg.svd(z, compute_uv=False)
+        assert residual_variance_estimate(z, sigma) == pytest.approx(
+            residual_variance_estimate(z), rel=1e-12
+        )
+        assert len(svd_calls) == 1
+        with pytest.raises(InputError, match="singular values"):
+            residual_variance_estimate(z, sigma[:-1])
 
     def test_rejects_bad_sigma(self, rng):
         z = rng.normal(size=(6, 5))
@@ -222,6 +243,12 @@ class TestGridSearch1d:
         with pytest.raises(InputError):
             grid_search_1d(z, grid=[0.8, 0.6])
 
+    def test_unknown_criterion_rejected_before_any_fit(self, rng, svd_calls):
+        z = rng.normal(size=(6, 5))
+        with pytest.raises(InputError, match="criterion"):
+            grid_search_1d(z, grid=[0.8], criterion="aic")
+        assert svd_calls == []
+
     def test_default_grid_bounds(self):
         grid = default_coupled_grid((10, 9))
         low = max(1 / np.sqrt(10), 1 / 3)
@@ -233,6 +260,65 @@ class TestGridSearch1d:
     def test_default_grid_rejects_bad_step(self, step):
         with pytest.raises(InputError, match="step"):
             default_coupled_grid((10, 9), step=step)
+
+
+@pytest.mark.filterwarnings("ignore:rank-1 fit did not converge")
+class TestOneSvdPerSearch:
+    """A search shares one SVD per matrix among its cells, and the shared
+    warm start, variance scale and reference fit give the same numbers as
+    cells fitted and scored on their own."""
+
+    @pytest.mark.parametrize("criterion", ["is", "bic"])
+    def test_grid_search_1d(self, rng, svd_calls, criterion):
+        z = rng.normal(size=(9, 7))
+        grid = default_coupled_grid(z.shape, step=0.1)
+        result = grid_search_1d(z, grid=grid, criterion=criterion)
+        assert svd_calls == [z.shape]
+        expected = []
+        for value in grid:
+            factor = pmd_rank1(z, SparsityConstraint.coupled(value))
+            if criterion == "is":
+                expected.append(is_criterion(z, [factor]))
+            else:
+                expected.append(bic_criterion(z, factor))
+        np.testing.assert_array_equal(result.grid.values, expected)
+
+    def test_grid_search_1d_with_prior_factors(self, rng, svd_calls):
+        z = rng.normal(size=(9, 7))
+        f1 = pmd_rank1(z, SparsityConstraint.coupled(0.6))
+        del svd_calls[:]
+        grid = [0.5, 0.7, 0.9]
+        result = grid_search_1d(z, grid=grid, criterion="is", prior_factors=[f1])
+        assert svd_calls == [z.shape, z.shape]
+        z_work = ppmd_deflate(z, f1)
+        expected = [
+            is_criterion(z, [f1, pmd_rank1(z_work, SparsityConstraint.coupled(v))])
+            for v in grid
+        ]
+        np.testing.assert_array_equal(result.grid.values, expected)
+
+    def test_grid_search_2d(self, rng, svd_calls):
+        z = rng.normal(size=(8, 6))
+        gu = np.linspace(1.0, np.sqrt(8.0), 3)
+        gv = np.linspace(1.0, np.sqrt(6.0), 3)
+        result = grid_search_2d(z, grid_u=gu, grid_v=gv, criterion="is")
+        assert svd_calls == [z.shape]
+        expected = [
+            [is_criterion(z, [pmd_rank1(z, SparsityConstraint.absolute(su, sv))])
+             for sv in gv]
+            for su in gu
+        ]
+        np.testing.assert_array_equal(result.grid.values, expected)
+
+    def test_weight_paths(self, rng, svd_calls):
+        z = rng.normal(size=(8, 6))
+        grid = default_coupled_grid(z.shape, step=0.1)
+        path = weight_paths(z, grid=grid)
+        assert svd_calls == [z.shape]
+        for value, u, v in zip(grid, path.u_path, path.v_path):
+            factor = pmd_rank1(z, SparsityConstraint.coupled(value))
+            np.testing.assert_array_equal(u, factor.u)
+            np.testing.assert_array_equal(v, factor.v)
 
 
 class TestGridSearch2d:
