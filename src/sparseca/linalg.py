@@ -1,5 +1,6 @@
 """Dense SVD and the L1-constrained projections used by the penalized fits."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -26,34 +27,40 @@ class SvdResult(NamedTuple):
 
 
 def full_svd(x: np.ndarray) -> SvdResult:
-    """Thin SVD with a fixed sign convention.
+    """Thin SVD with a fixed sign convention, of one matrix or a stack.
 
     Each right singular vector is flipped, together with its left partner,
     so that its largest-magnitude entry is positive (first such entry on
     ties). This makes repeated factorizations of equal matrices identical.
+    A stack of shape ``(..., n_rows, n_cols)`` is factorized member by
+    member in one call, with the sign rule applied to each; every member
+    gets the same result as its own call. Cross-validation factorizes all
+    the refilled matrices of a sweep this way.
 
     Parameters
     ----------
-    x : ndarray of shape (n_rows, n_cols)
-        Real matrix with finite entries.
+    x : ndarray of shape (n_rows, n_cols) or (..., n_rows, n_cols)
+        Real matrix, or stack of matrices, with finite entries.
 
     Returns
     -------
     SvdResult
-        ``U``, ``s``, ``V`` with ``k = min(n_rows, n_cols)`` components.
+        ``U``, ``s``, ``V`` with ``k = min(n_rows, n_cols)`` components,
+        carrying the stack's leading axes in front.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InputError(f"expected a 2-d array, got shape {x.shape}")
+    if x.ndim < 2:
+        raise InputError(f"expected a 2-d array or a stack of them, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("matrix contains non-finite entries")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    v = vt.T
     # argmax over |v| picks the first maximal entry, so ties break low.
-    anchor = np.abs(v).argmax(axis=0)
-    flip = np.sign(v[anchor, np.arange(v.shape[1])])
+    anchor = np.abs(vt).argmax(axis=-1)
+    rows = vt.reshape(-1, vt.shape[-1])
+    flip = np.sign(_row_pick(rows, anchor.ravel())).reshape(anchor.shape)
     flip[flip == 0.0] = 1.0
-    return SvdResult(u * flip, s, v * flip)
+    flip = flip[..., None, :]
+    return SvdResult(u * flip, s, np.swapaxes(vt, -1, -2) * flip)
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
@@ -77,6 +84,10 @@ def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     are incompatible with a unit vector, above ``sqrt(len(x))`` the
     bound can never bind.
 
+    This is the one-row case of a routine that projects a stack of rows,
+    each under its own budget, with one sort along the rows; the rank-1
+    fits of a cross-validation sweep project all their rows that way.
+
     Parameters
     ----------
     x : ndarray of shape (n,)
@@ -92,50 +103,104 @@ def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError(f"expected a 1-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("vector contains non-finite entries")
     n = x.size
     if n == 0:
         raise DegenerateInputError("cannot project an empty vector")
-    if not (1.0 <= c <= np.sqrt(n) + 1e-12):
+    if not (1.0 <= c <= math.sqrt(n) + 1e-12):
         raise InputError(f"L1 budget {c} outside [1, sqrt({n})]")
-    norm2 = np.linalg.norm(x)
-    if norm2 == 0.0:
-        raise DegenerateInputError("cannot project an all-zero vector")
+    return _l1_project_rows(x, c)
 
-    a = np.sort(np.abs(x))[::-1]
-    n_tied = int(np.count_nonzero(a == a[0]))
-    if c == 1.0 or c < np.sqrt(n_tied):
-        u = np.zeros(n)
-        j = int(np.abs(x).argmax())
-        u[j] = np.sign(x[j])
-        return u
-    # L1 and L2 norms of the top k entries shrunk by the next one, a[k]
-    # (0 past the end), for k = 1..n; summed from the nonnegative gaps
-    # between neighbours so that no large cumulative sums cancel
-    below = np.append(a[1:], 0.0)
-    gaps = a - below
-    counts = np.arange(1, n + 1)
-    l1 = np.cumsum(counts * gaps)
-    l2 = np.sqrt(np.cumsum(gaps * (2.0 * np.append(0.0, l1[:-1]) + counts * gaps)))
-    if l1[-1] <= c * l2[-1]:
-        return x / norm2
-    # The ratio rises with k, so the first k reaching c is the survivor
-    # count. With depths d = max|x| - |x| of the survivors, sigma =
-    # max|x| - threshold solves sum(sigma - d) = c * norm(sigma - d);
-    # depths stay exact for near-ties at the top, where the threshold
-    # itself would round onto one of them.
-    k = n_tied + int(np.argmax(l1[n_tied - 1 :] >= c * l2[n_tied - 1 :]))
-    depth = a[0] - a[:k]
-    mean = depth.mean()
-    spread = k * float(((depth - mean) ** 2).sum())
+
+def _l1_project_rows(x: np.ndarray, c) -> np.ndarray:
+    """``l1_constrained_unit_vector`` of a vector, or of each row of a stack.
+
+    ``x`` has shape (B, n) and ``c`` shape (B,): one budget per row, each
+    in ``[1, sqrt(n)]`` or infinite; an infinite budget never binds, so
+    its row is only normalized. Every row's result depends on that row and
+    its budget alone. A single vector (``x`` of shape (n,), ``c`` a float)
+    runs the same code with numpy scalars in place of the per-row arrays.
+    """
+    # one dot product per row, the way np.linalg.norm takes it
+    norm = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0, 0][()]
+    if np.count_nonzero((norm > 0.0) & (norm < np.inf)) < norm.size:
+        if not np.isfinite(x).all():
+            raise InputError("vector contains non-finite entries")
+        if np.count_nonzero(norm) < norm.size:
+            raise DegenerateInputError("cannot project an all-zero vector")
+        raise InputError("vector norm overflows")
+    abs_x = np.abs(x)
+    # ||x||_1 <= c ||x||_2 means the budget does not bind and the answer
+    # is x / ||x||; one L1 and one L2 reduction per row find those rows
+    # before anything is sorted
+    binding = abs_x.sum(axis=-1) > c * norm
+    n_binding = np.count_nonzero(binding)
+    if n_binding < binding.size:
+        out = x / norm[..., None]
+        if n_binding:
+            # a stack with some binding rows: project just those
+            rows = np.flatnonzero(binding)
+            out[rows] = _l1_project_rows(x[rows], c[rows])
+        return out
+
+    n = x.shape[-1]
+    # |x| in decreasing order, padded with the 0 that follows the last entry
+    a = np.zeros(x.shape[:-1] + (n + 1,))
+    a[..., :n] = np.sort(abs_x, axis=-1)[..., ::-1]
+    top = a[..., :1]
+    # L1 and L2 norms of the top k entries shrunk by the next one, a[k],
+    # for k = 1..n; summed from the nonnegative gaps between neighbours so
+    # that no large cumulative sums cancel
+    gaps = a[..., :n] - a[..., 1:]
+    weighted = np.arange(1, n + 1) * gaps
+    l1 = np.zeros(a.shape)
+    weighted.cumsum(axis=-1, out=l1[..., 1:])
+    l2 = np.sqrt((gaps * (2.0 * l1[..., :n] + weighted)).cumsum(axis=-1))
+    l1 = l1[..., 1:]
+    # the gaps, and so l1, are exactly 0 up to the entries tied at max|x|
+    moved = l1 > 0.0
+    n_tied = moved.argmax(axis=-1) + 1
+    # The ratio rises with k, so the first k >= n_tied reaching c is the
+    # survivor count; a row the gap sums put just inside the budget keeps
+    # all n entries.
+    reach = (l1 >= np.asarray(c)[..., None] * l2) & moved
+    reach[..., -1] = True
+    k = reach.argmax(axis=-1) + 1
+    # With depths d = max|x| - |x| of the survivors, sigma = max|x| -
+    # threshold solves sum(sigma - d) = c * norm(sigma - d); depths stay
+    # exact for near-ties at the top, where the threshold itself would
+    # round onto one of them. The survivor sums are running sums read at
+    # k, so a row's result does not depend on the other rows of a stack.
+    k_max = k.max() if k.ndim else k
+    depth = top - a[..., : k_max + 1]
+    mean = _row_pick(depth[..., :k_max].cumsum(axis=-1), k - 1) / k
+    squares = ((depth[..., :k_max] - mean[..., None]) ** 2).cumsum(axis=-1)
+    spread = k * _row_pick(squares, k - 1)
     slack = k - c * c
     # sigma is capped at max|x| - a[k] so that rounding turns on no entry
     # past the survivors. With the survivors tied (spread 0, or slack <= 0
     # from rounding) every threshold below them gives the same direction
     # and the cap is the answer.
-    sigma = a[0] - below[k - 1]
-    if spread > 0.0 and slack > 0.0:
-        sigma = min(sigma, mean + c / k * np.sqrt(spread / slack))
-    u = np.sign(x) * np.clip(sigma - (a[0] - np.abs(x)), 0.0, None)
-    return u / np.linalg.norm(u)
+    cap = _row_pick(depth, k)
+    solved = (spread > 0.0) & (slack > 0.0)
+    if np.count_nonzero(solved) < solved.size:
+        spread, slack = np.where(solved, spread, np.inf), np.where(solved, slack, 1.0)
+    sigma = np.minimum(cap, mean + c / k * np.sqrt(spread / slack))
+    u = np.copysign(np.maximum(sigma[..., None] - (top - abs_x), 0.0), x)
+    u /= np.sqrt(np.matmul(u[..., None, :], u[..., :, None]))[..., 0]
+    # c = 1, or c below sqrt(#ties at the top), admits no threshold: the
+    # answer is 1-sparse at the first maximal entry
+    one_sparse = (c == 1.0) | (c < np.sqrt(n_tied))
+    if np.count_nonzero(one_sparse):
+        first = abs_x.argmax(axis=-1)[..., None]
+        e = np.zeros_like(u)
+        np.put_along_axis(e, first, np.sign(np.take_along_axis(x, first, axis=-1)), axis=-1)
+        u = np.where(np.asarray(one_sparse)[..., None], e, u)
+    return u
+
+
+def _row_pick(x: np.ndarray, index) -> np.ndarray:
+    """``x[..., index]`` taken row by row: entry ``index[i]`` of row ``i``
+    of a stack, or entry ``index`` of a single vector."""
+    if np.ndim(index) == 0:
+        return x[..., index]
+    return x[np.arange(len(index)), index]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ca import ContingencyTable, correspondence_matrix, standardized_residuals
 from .errors import DegenerateInputError, InputError, SparseCAError
-from .linalg import full_svd, l1_constrained_unit_vector
+from .linalg import _l1_project_rows, _row_pick, full_svd, l1_constrained_unit_vector
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
@@ -179,10 +179,6 @@ def pmd_rank1(
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InputError("matrix contains non-finite entries")
-    if np.linalg.norm(z) == 0.0:
-        raise DegenerateInputError("cannot decompose an all-zero matrix")
     budget_u, budget_v = constraint.budgets(z.shape)
     if start is None:
         start = full_svd(z).V[:, 0]
@@ -197,68 +193,148 @@ def pmd_rank1(
             raise InputError("start vector contains non-finite entries")
         if not np.any(start):
             raise DegenerateInputError("start vector is all zero")
+    fit = _rank1_stack(
+        z, np.inf if budget_u is None else budget_u, budget_v, start, max_iter, tol
+    )
+    return SparseFactor(
+        u=fit.u,
+        v=fit.v,
+        alpha=float(fit.alpha),
+        eigenvalue=float(fit.alpha) ** 2,
+        nnz_u=int(np.count_nonzero(fit.u)),
+        nnz_v=int(np.count_nonzero(fit.v)),
+        constraint=constraint,
+        converged=bool(fit.converged),
+        n_iter=int(fit.n_iter),
+    )
 
+
+class _StackFit(NamedTuple):
+    """Rank-1 fits of one matrix or a stack: per-member values are scalars
+    for one matrix and arrays with one row per member for a stack."""
+
+    u: np.ndarray
+    v: np.ndarray
+    alpha: np.ndarray
+    converged: np.ndarray
+    n_iter: np.ndarray
+
+
+def _project(x: np.ndarray, budgets) -> np.ndarray:
+    """L1/L2 projection of a vector, or of each row of a stack; a single
+    fit projects through the public 1-d function."""
+    if x.ndim == 1:
+        return l1_constrained_unit_vector(x, budgets)
+    return _l1_project_rows(x, budgets)
+
+
+def _rank1_stack(
+    z: np.ndarray,
+    budget_u,
+    budget_v,
+    start: np.ndarray,
+    max_iter: int = 200,
+    tol: float = 1e-7,
+) -> _StackFit:
+    """The alternating loop of ``pmd_rank1``, for one matrix or a stack.
+
+    ``z`` has shape (n, m), or (B, n, m) for a stack of B members with
+    ``budget_u``, ``budget_v`` of shape (B,) and ``start`` of shape
+    (B, m); an infinite row budget means unpenalized rows. Members are
+    independent: each one stops at its own first column-weight change
+    below ``tol`` and ends with the weights, iteration count and checks
+    its own fit would give. Cross-validation runs all folds and grid
+    cells of a sweep as one stack; ``pmd_rank1`` passes one matrix, for
+    which every per-member value is a scalar.
+    """
+    if not np.isfinite(z).all():
+        raise InputError("matrix contains non-finite entries")
+    nonzero = z.any(axis=(-2, -1))
+    if np.count_nonzero(nonzero) < nonzero.size:
+        raise DegenerateInputError("cannot decompose an all-zero matrix")
     # the raw leading singular vector can exceed the L1 budget, so warm
     # start from its feasible projection; with an inactive budget this is
     # the singular vector itself
-    v = l1_constrained_unit_vector(start, budget_v)
-    u = np.zeros(z.shape[0])
+    v = _project(start, budget_v)
+    # members still iterating; a stack is compacted when some stop, and
+    # each batch that stops is kept as (members, u, v, last change, step)
+    live = np.arange(nonzero.size)
+    zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
+    free_rows = np.count_nonzero(np.isinf(bu)) == np.size(bu)
+    stopped = []
     objective = -np.inf
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        zv = z @ v
-        if budget_u is None:
-            norm = np.linalg.norm(zv)
-            if norm == 0.0:
+    for step in range(1, max_iter + 1):
+        zv = np.matmul(zs, v[..., None])[..., 0]
+        if free_rows:
+            norm = np.sqrt(np.matmul(zv[..., None, :], zv[..., :, None]))[..., 0, 0]
+            if np.count_nonzero(norm) < norm.size:
                 raise DegenerateInputError("row weights collapsed to zero")
-            u = zv / norm
+            u = zv / norm[..., None]
         else:
-            u = l1_constrained_unit_vector(zv, budget_u)
-        after_u = float(u @ zv)
+            u = _project(zv, bu)
+        after_u = (u * zv).sum(axis=-1)
         # each half-step maximizes the bilinear form over a set that
         # contains the previous iterate
-        if after_u < objective - 1e-7 * max(1.0, abs(after_u)):
-            raise SparseCAError(
-                f"rank-1 ascent broken: row update lowered u'Zv from "
-                f"{objective:.9g} to {after_u:.9g}"
-            )
-        zu = z.T @ u
-        v_new = l1_constrained_unit_vector(zu, budget_v)
-        objective = float(zu @ v_new)
-        if objective < after_u - 1e-7 * max(1.0, abs(objective)):
-            raise SparseCAError(
-                f"rank-1 ascent broken: column update lowered u'Zv from "
-                f"{after_u:.9g} to {objective:.9g}"
-            )
-        shift = float(np.abs(v_new - v).max())
+        _check_ascent("row", objective, after_u)
+        zu = np.matmul(zts, u[..., None])[..., 0]
+        v_new = _project(zu, bv)
+        objective = (zu * v_new).sum(axis=-1)
+        _check_ascent("column", after_u, objective)
+        change = np.abs(v_new - v).max(axis=-1)
         v = v_new
-        if shift < tol:
-            converged = True
+        done = change < tol
+        n_done = np.count_nonzero(done)
+        if step == max_iter or n_done == done.size:
+            stopped.append((live, u, v, change, step))
             break
-    if not converged:
-        warnings.warn(
-            f"rank-1 fit did not converge in {max_iter} iterations "
-            f"(last column-weight change {shift:.2e})",
-            stacklevel=2,
+        if n_done:
+            stopped.append((live[done], u[done], v[done], change[done], step))
+            keep = ~done
+            live, zs, zts = live[keep], zs[keep], zts[keep]
+            bu, bv, v, objective = bu[keep], bv[keep], v[keep], objective[keep]
+            free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
+
+    if len(stopped) == 1:
+        _, u, v, change, step = stopped[0]
+        n_iter = np.full(np.shape(change), step)
+    else:
+        order = np.argsort(np.concatenate([batch[0] for batch in stopped]))
+        u, v, change = (
+            np.concatenate([batch[i] for batch in stopped])[order] for i in (1, 2, 3)
         )
-    anchor = int(np.abs(v).argmax())
-    if v[anchor] < 0:
-        u, v = -u, -v
-    alpha = float(u @ z @ v)
-    if alpha < 0.0:
-        raise SparseCAError(f"rank-1 fit ended with negative u'Zv = {alpha:.9g}")
-    return SparseFactor(
-        u=u,
-        v=v,
-        alpha=alpha,
-        eigenvalue=alpha**2,
-        nnz_u=int(np.count_nonzero(u)),
-        nnz_v=int(np.count_nonzero(v)),
-        constraint=constraint,
-        converged=converged,
-        n_iter=n_iter,
-    )
+        n_iter = np.concatenate([np.full(len(b[0]), b[4]) for b in stopped])[order]
+    converged = change < tol
+    if np.count_nonzero(converged) < converged.size:
+        for last in np.atleast_1d(change[~converged]):
+            warnings.warn(
+                f"rank-1 fit did not converge in {max_iter} iterations "
+                f"(last column-weight change {last:.2e})",
+                stacklevel=3,
+            )
+    # sign convention: the largest-magnitude column weight is positive
+    flip = _row_pick(v, np.abs(v).argmax(axis=-1)) < 0
+    if np.count_nonzero(flip):
+        u[flip], v[flip] = -u[flip], -v[flip]
+    alpha = np.matmul(np.matmul(u[..., None, :], z), v[..., :, None])[..., 0, 0][()]
+    if np.count_nonzero(alpha < 0.0):
+        raise SparseCAError(
+            f"rank-1 fit ended with negative u'Zv = {alpha[alpha < 0.0][0]:.9g}"
+        )
+    return _StackFit(u, v, alpha, converged, n_iter)
+
+
+def _check_ascent(side: str, before, after) -> None:
+    """Raise if a half-step lowered any member's objective beyond roundoff."""
+    # the allowance is at least 1e-7, so smaller drops need no closer look
+    if not np.count_nonzero(before - after > 1e-7):
+        return
+    dropped = np.atleast_1d(after < before - 1e-7 * np.maximum(1.0, np.abs(after)))
+    if np.count_nonzero(dropped):
+        i = int(dropped.argmax())
+        raise SparseCAError(
+            f"rank-1 ascent broken: {side} update lowered u'Zv from "
+            f"{np.atleast_1d(before)[i]:.9g} to {np.atleast_1d(after)[i]:.9g}"
+        )
 
 
 def ppmd_deflate(z: np.ndarray, factor: SparseFactor) -> np.ndarray:

@@ -12,6 +12,13 @@ rank-1 fit, and its singular values give the BIC variance scale. The
 sparsity index compares against plain SVD components of the undeflated
 matrix, which is a second SVD only when earlier dimensions were
 deflated out.
+
+Cross-validation refits every fold for a fixed number of sweeps, and the
+folds and cells of a search are independent, so each sweep fits them as
+one stack: one stacked SVD of all refilled matrices gives the warm
+starts, and one stacked rank-1 loop fits them, each member exactly as
+its own fit would. The stack is cut into chunks of at most
+``CV_STACK_ENTRIES`` (2**17) matrix entries.
 """
 
 from dataclasses import dataclass
@@ -23,10 +30,16 @@ from .linalg import full_svd
 from .sparse import (
     SparseFactor,
     SparsityConstraint,
+    _rank1_stack,
     explained_variance,
     pmd_rank1,
     ppmd_deflate,
 )
+
+# Cross-validation stacks the refilled matrices of all folds and grid
+# cells of a sweep, in chunks of at most this many matrix entries (1 MiB
+# per float array of the stack) so that large tables stay within memory.
+CV_STACK_ENTRIES = 2**17
 
 
 @dataclass
@@ -228,9 +241,43 @@ def cv_error(
     final reconstruction on the blanks is recorded. Returns the mean
     over folds and repeats. The same seed always yields the same folds
     and therefore the same error.
+
+    All folds and repeats run as one stack: each sweep takes one stacked
+    SVD of the refilled matrices and one stacked rank-1 fit, and a grid
+    search stacks its cells too (see ``CV_STACK_ENTRIES``). Each member
+    gets the numbers its own fit would give, so a grid search's value
+    for a cell equals this function's value for that cell's constraint.
+    """
+    return float(
+        _cv_errors(z, [constraint], folds, holdout_fraction, repeats, seed, sweeps)[0]
+    )
+
+
+def _cv_errors(
+    z: np.ndarray,
+    constraints,
+    folds: int = 10,
+    holdout_fraction: float = 0.10,
+    repeats: int = 1,
+    seed: int | None = None,
+    sweeps: int = 20,
+) -> np.ndarray:
+    """``cv_error`` of each constraint, on the same folds.
+
+    Every constraint draws the same folds from ``seed``, so the masks are
+    built once, and the refilled matrices of all constraints, repeats and
+    folds form one stack per sweep: one stacked SVD gives every member's
+    warm start and one stacked rank-1 loop fits them all. The stack is
+    cut into chunks of at most ``CV_STACK_ENTRIES`` matrix entries (at
+    least one matrix per chunk), which bounds the memory a large table
+    takes.
     """
     if folds < 1 or repeats < 1:
         raise InputError(f"folds and repeats must be at least 1, got {folds} and {repeats}")
+    if sweeps < 1:
+        raise InputError(f"sweeps must be at least 1, got {sweeps}")
+    if not (np.isfinite(holdout_fraction) and 0.0 < holdout_fraction <= 1.0):
+        raise InputError(f"holdout_fraction must lie in (0, 1], got {holdout_fraction}")
     z = np.asarray(z, dtype=float)
     n_cells = z.size
     # folds partition a permutation of the cells, so cap the holdout so
@@ -241,22 +288,35 @@ def cv_error(
             f"{folds} folds need at least {folds} cells, got {n_cells}"
         )
     rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(repeats):
+    masks = np.zeros((repeats * folds, n_cells), dtype=bool)
+    for r in range(repeats):
         order = rng.permutation(n_cells)
         for fold in range(folds):
-            held = order[fold * holdout : (fold + 1) * holdout]
-            mask = np.zeros(n_cells, dtype=bool)
-            mask[held] = True
-            mask = mask.reshape(z.shape)
-            filled = np.where(mask, 0.0, z)
-            reconstruction = filled
-            for _ in range(sweeps):
-                factor = pmd_rank1(filled, constraint)
-                reconstruction = factor.alpha * np.outer(factor.u, factor.v)
-                filled = np.where(mask, reconstruction, z)
-            errors.append(float(((z[mask] - reconstruction[mask]) ** 2).mean()))
-    return float(np.mean(errors))
+            masks[r * folds + fold, order[fold * holdout : (fold + 1) * holdout]] = True
+    masks = masks.reshape(-1, *z.shape)
+    budgets = [c.budgets(z.shape) for c in constraints]
+    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
+    budget_v = np.array([bv for _, bv in budgets])
+
+    # member i is fold i % len(masks) of constraint i // len(masks)
+    n_members = len(constraints) * len(masks)
+    per_chunk = max(1, CV_STACK_ENTRIES // n_cells)
+    fold_errors = np.empty(n_members)
+    for lo in range(0, n_members, per_chunk):
+        members = np.arange(lo, min(lo + per_chunk, n_members))
+        mask = masks[members % len(masks)]
+        cell = members // len(masks)
+        filled = np.where(mask, 0.0, z)
+        for _ in range(sweeps):
+            start = full_svd(filled).V[:, :, 0]
+            fit = _rank1_stack(filled, budget_u[cell], budget_v[cell], start)
+            reconstruction = fit.alpha[:, None, None] * (
+                fit.u[:, :, None] * fit.v[:, None, :]
+            )
+            filled = np.where(mask, reconstruction, z)
+        held = (z - reconstruction)[mask] ** 2
+        fold_errors[members] = held.reshape(-1, holdout).mean(axis=1)
+    return fold_errors.reshape(len(constraints), -1).mean(axis=1)
 
 
 def _deflate_through(z: np.ndarray, prior_factors) -> np.ndarray:
@@ -293,13 +353,15 @@ def _pick_optimum(cells, maximize):
     return best
 
 
-def _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats):
-    """Fit-and-score function for the cells of one grid search.
+def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed, cv_repeats):
+    """Fit and score every cell of one grid search.
 
-    What the cells share is computed once, before the first cell: one
-    SVD of the deflated matrix gives every cell's warm start and the BIC
+    Returns one ``(value, nnz_u, nnz_v, fit)`` tuple per constraint. What
+    the cells share is computed once, before the first cell: one SVD of
+    the deflated matrix gives every cell's warm start and the BIC
     variance scale, and the IS reference fit reuses it unless prior
-    factors make the undeflated matrix a different one.
+    factors make the undeflated matrix a different one. Cross-validation
+    errors for all cells come from one stacked computation.
     """
     if criterion not in ("is", "bic", "cv"):
         raise InputError(f"criterion must be 'is', 'bic' or 'cv', got {criterion!r}")
@@ -312,8 +374,11 @@ def _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats):
     if criterion == "is":
         reference = full_svd(z) if prior_factors else svd
         full_fit = explained_variance(z, reference.V[:, : len(prior_factors) + 1])
+    if criterion == "cv":
+        cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
 
-    def evaluate(constraint):
+    results = []
+    for i, constraint in enumerate(constraints):
         factor = pmd_rank1(z_work, constraint, start=start)
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
@@ -322,10 +387,9 @@ def _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats):
         elif criterion == "bic":
             value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
         else:
-            value = cv_error(z_work, constraint, seed=seed, repeats=cv_repeats)
-        return value, factor.nnz_u, factor.nnz_v, fit
-
-    return evaluate
+            value = float(cv_values[i])
+        results.append((value, factor.nnz_u, factor.nnz_v, fit))
+    return results
 
 
 def grid_search_1d(
@@ -353,8 +417,10 @@ def grid_search_1d(
         raise InputError("grid must contain at least one value")
     if np.any(np.diff(grid) <= 0):
         raise InputError("grid values must be strictly increasing")
-    evaluate = _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats)
-    results = [evaluate(SparsityConstraint.coupled(value)) for value in grid]
+    constraints = [SparsityConstraint.coupled(value) for value in grid]
+    results = _evaluate_cells(
+        z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
+    )
     values = np.array([r[0] for r in results])
     nnz_u = np.array([r[1] for r in results])
     nnz_v = np.array([r[2] for r in results])
@@ -406,10 +472,12 @@ def grid_search_2d(
     grid_v = np.asarray(grid_v, dtype=float)
     if grid_u.size == 0 or grid_v.size == 0:
         raise InputError("grids must contain at least one value")
-    evaluate = _cell_evaluator(z, prior_factors, criterion, orientation, seed, cv_repeats)
-    results = [
-        evaluate(SparsityConstraint.absolute(su, sv)) for su in grid_u for sv in grid_v
+    constraints = [
+        SparsityConstraint.absolute(su, sv) for su in grid_u for sv in grid_v
     ]
+    results = _evaluate_cells(
+        z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
+    )
     shape = (grid_u.size, grid_v.size)
     values = np.array([r[0] for r in results]).reshape(shape)
     nnz_u = np.array([r[1] for r in results]).reshape(shape)

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sparseca.errors import DegenerateInputError, InputError
-from sparseca.linalg import full_svd, l1_constrained_unit_vector, soft_threshold
+from sparseca.linalg import (
+    _l1_project_rows,
+    full_svd,
+    l1_constrained_unit_vector,
+    soft_threshold,
+)
 
 
 class TestFullSvd:
@@ -53,6 +58,18 @@ class TestFullSvd:
         second = full_svd(x.copy())
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+    def test_stack_matches_member_calls(self, rng):
+        # a stack factorizes member by member, signs included; one member
+        # has a repeated column, so its V has a tied-magnitude anchor
+        for shape in [(5, 7, 4), (4, 4, 6), (2, 3, 5, 5)]:
+            x = rng.normal(size=shape)
+            x[(0,) * (len(shape) - 2)][:, 1] = x[(0,) * (len(shape) - 2)][:, 0]
+            stacked = full_svd(x)
+            for index in np.ndindex(*shape[:-2]):
+                single = full_svd(x[index])
+                for got, want in zip(stacked, single):
+                    np.testing.assert_array_equal(got[index], want)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
@@ -182,3 +199,98 @@ class TestL1ConstrainedUnitVector:
             l1_constrained_unit_vector(np.ones(4), 2.5)
         with pytest.raises(InputError):
             l1_constrained_unit_vector(np.ones((2, 2)), 1.0)
+
+
+def _near_tie_and_fuzz_rows(rng, n):
+    """Rows of length n in the styles of the near-tie and binding-budget
+    tests: one-ulp maxima, exact ties, and normal draws over six scales."""
+    top = np.nextafter(1.0, 2.0)
+    rows = [
+        np.concatenate([[top, 1.0, np.nextafter(1.0, 0.0)], np.full(n - 3, 0.5)]),
+        np.concatenate([[2.0, -2.0, 2.0], rng.uniform(-1.9, 1.9, n - 3)]),
+        np.ones(n),
+    ]
+    for scale in 10.0 ** np.arange(-3, 4):
+        rows.append(rng.normal(size=n) * scale)
+    return np.array(rows)
+
+
+class TestStackedProjection:
+    """The row routine behind ``l1_constrained_unit_vector`` on stacks with
+    mixed budgets: each row comes out exactly as its own call."""
+
+    @pytest.mark.parametrize("n", [4, 9, 57, 300])
+    def test_rows_equal_single_calls(self, rng, n):
+        x = _near_tie_and_fuzz_rows(rng, n)
+        x = np.concatenate([x, x, x, x])
+        budgets = []
+        for row in x:
+            n_tied = np.count_nonzero(np.abs(row) == np.abs(row).max())
+            budgets.append(
+                rng.choice(
+                    [
+                        1.0,
+                        np.sqrt(n_tied),
+                        np.sqrt(n),
+                        float(np.sqrt(rng.integers(1, n + 1))),
+                        float(rng.uniform(1.0, np.sqrt(n))),
+                    ]
+                )
+            )
+        c = np.array(budgets)
+        stacked = _l1_project_rows(x, c)
+        kinds = set()
+        for row, budget, got in zip(x, c, stacked):
+            want = l1_constrained_unit_vector(row, budget)
+            np.testing.assert_array_equal(got, want)
+            assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(got).sum() <= budget * (1 + 1e-10)
+            assert row @ got >= np.abs(row).max() * (1 - 1e-12)
+            if np.abs(row).sum() <= budget * np.linalg.norm(row):
+                kinds.add("inactive")
+            elif np.count_nonzero(got) == 1:
+                kinds.add("one-sparse")
+            else:
+                kinds.add("binding")
+        assert kinds == {"inactive", "one-sparse", "binding"}
+
+    def test_infinite_budget_only_normalizes(self, rng):
+        x = rng.normal(size=(3, 6))
+        c = np.array([np.inf, 1.5, np.inf])
+        out = _l1_project_rows(x, c)
+        for i in (0, 2):
+            np.testing.assert_array_equal(out[i], x[i] / np.linalg.norm(x[i]))
+        np.testing.assert_array_equal(out[1], l1_constrained_unit_vector(x[1], 1.5))
+
+    def test_inactive_stack_is_not_sorted(self, rng, monkeypatch):
+        x = rng.normal(size=(5, 8))
+        inactive = np.full(5, np.sqrt(8.0))
+        sorts = []
+        real_sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        _l1_project_rows(x, inactive)
+        assert sorts == []
+        binding = inactive.copy()
+        binding[[1, 3]] = 1.3
+        _l1_project_rows(x, binding)
+        assert sorts == [(2, 8)]
+
+    def test_bad_rows_rejected(self, rng):
+        x = rng.normal(size=(3, 4))
+        c = np.full(3, 1.5)
+        zero = x.copy()
+        zero[1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            _l1_project_rows(zero, c)
+        bad = x.copy()
+        bad[2, 0] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            _l1_project_rows(bad, c)
+        # finite entries whose squared norm overflows would normalize to 0
+        with pytest.raises(InputError, match="overflows"), np.errstate(over="ignore"):
+            l1_constrained_unit_vector(np.array([3e200, -1e200, 2e200]), 1.2)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sparseca.errors import DegenerateInputError, InputError, SparseCAError
 from sparseca.linalg import full_svd, l1_constrained_unit_vector
 from sparseca.sparse import (
     SparsityConstraint,
+    _rank1_stack,
     column_sparse_coordinates,
     coordinates_from_weights,
     explained_variance,
@@ -230,6 +232,85 @@ class TestPmdRank1:
         with pytest.raises(InputError, match="start") as info:
             pmd_rank1(z, SparsityConstraint.coupled(0.7), start=start)
         assert type(info.value) is error
+
+
+def _stack_inputs(z, constraints):
+    """Budgets and warm starts of a stack, one member per constraint."""
+    budgets = [c.budgets(z.shape[1:]) for c in constraints]
+    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
+    budget_v = np.array([bv for _, bv in budgets])
+    return budget_u, budget_v, full_svd(z).V[:, :, 0]
+
+
+class TestRank1Stack:
+    """The alternating loop on a stack: every member ends as its own
+    ``pmd_rank1`` fit would, whatever else the stack holds."""
+
+    constraints = [
+        SparsityConstraint.coupled(0.5),
+        SparsityConstraint.unpenalized_rows(1.3),
+        SparsityConstraint.absolute(1.2, 1.1),
+        SparsityConstraint.coupled(0.9),
+        SparsityConstraint.unpenalized_rows(2.0),
+        SparsityConstraint.absolute(2.5, 2.4),
+        SparsityConstraint.absolute(np.sqrt(8.0), np.sqrt(7.0)),
+    ]
+
+    def test_members_equal_their_own_fits(self):
+        z = np.random.default_rng(3).normal(size=(7, 8, 7))
+        fit = _rank1_stack(z, *_stack_inputs(z, self.constraints))
+        for i, constraint in enumerate(self.constraints):
+            own = pmd_rank1(z[i], constraint)
+            np.testing.assert_array_equal(fit.u[i], own.u)
+            np.testing.assert_array_equal(fit.v[i], own.v)
+            assert fit.alpha[i] == own.alpha
+            assert (fit.n_iter[i], fit.converged[i]) == (own.n_iter, own.converged)
+        # the members stop at different iterations, so the stack is
+        # compacted on the way
+        assert len(set(fit.n_iter)) >= 4
+
+    def test_only_the_capped_member_warns(self):
+        z = np.random.default_rng(3).normal(size=(7, 8, 7))
+        own = [pmd_rank1(z[i], c).n_iter for i, c in enumerate(self.constraints)]
+        cap = sorted(own)[-1] - 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = _rank1_stack(z, *_stack_inputs(z, self.constraints), max_iter=cap)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "did not converge in" in messages[0]
+        assert list(fit.converged) == [n <= cap for n in own]
+
+    @pytest.mark.parametrize("call, side", [(2, "column"), (3, "row")])
+    def test_broken_ascent_of_one_member_raises(self, monkeypatch, call, side):
+        # as in the single-fit test, with the result of member 1 alone
+        # negated on one projection call
+        from sparseca.linalg import _l1_project_rows
+
+        calls = itertools.count()
+
+        def worse(x, c):
+            out = _l1_project_rows(x, c)
+            if next(calls) == call:
+                out[1] = -out[1]
+            return out
+
+        monkeypatch.setattr("sparseca.sparse._l1_project_rows", worse)
+        z = np.random.default_rng(5).normal(size=(3, 8, 6))
+        inputs = _stack_inputs(z, [SparsityConstraint.absolute(2.0, 2.0)] * 3)
+        with pytest.raises(SparseCAError, match=f"ascent broken: {side} update"):
+            _rank1_stack(z, *inputs)
+
+    def test_member_checks(self):
+        z = np.random.default_rng(4).normal(size=(3, 5, 4))
+        inputs = _stack_inputs(z, [SparsityConstraint.coupled(0.8)] * 3)
+        zero = z.copy()
+        zero[1] = 0.0
+        with pytest.raises(DegenerateInputError, match="all-zero matrix"):
+            _rank1_stack(zero, *inputs)
+        bad = z.copy()
+        bad[2, 0, 0] = np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            _rank1_stack(bad, *inputs)
 
 
 class TestPpmdDeflate:

@@ -10,6 +10,7 @@ from sparseca.sparse import (
     ppmd_deflate,
 )
 from sparseca.tuning import (
+    _deflate_through,
     bic_criterion,
     cv_error,
     default_coupled_grid,
@@ -182,6 +183,23 @@ class TestCvError:
         with pytest.raises(InputError):
             cv_error(z, SparsityConstraint.coupled(0.9), folds=10)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sweeps": 0},
+            {"sweeps": -3},
+            {"holdout_fraction": -1.0},
+            {"holdout_fraction": 0.0},
+            {"holdout_fraction": 5.0},
+            {"holdout_fraction": np.nan},
+            {"holdout_fraction": np.inf},
+        ],
+    )
+    def test_bad_sweeps_or_holdout_rejected(self, rng, kwargs):
+        z = rng.normal(size=(8, 6))
+        with pytest.raises(InputError, match="sweeps|holdout"):
+            cv_error(z, SparsityConstraint.coupled(0.9), seed=0, **kwargs)
+
     @pytest.mark.parametrize("kwargs", [{"folds": 0}, {"folds": -1}, {"repeats": 0}])
     def test_nonpositive_folds_or_repeats_rejected(self, rng, kwargs):
         z = rng.normal(size=(6, 5))
@@ -235,6 +253,36 @@ class TestGridSearch1d:
         a = grid_search_1d(z, grid=grid, criterion="cv", seed=7)
         b = grid_search_1d(z, grid=grid, criterion="cv", seed=7)
         np.testing.assert_array_equal(a.grid.values, b.grid.values)
+
+    @pytest.mark.filterwarnings("ignore:rank-1 fit did not converge")
+    def test_cv_values_equal_cv_error_per_cell(self, rng):
+        # the search stacks all its cells; each value is still exactly the
+        # cell's own cross-validation error
+        z = rng.normal(size=(8, 6))
+        f1 = pmd_rank1(z, SparsityConstraint.coupled(0.7))
+        grid = [0.45, 0.6, 0.8, 1.0]
+        for prior, repeats in (([], 1), ([f1], 2)):
+            result = grid_search_1d(
+                z, grid=grid, criterion="cv", seed=3, cv_repeats=repeats,
+                prior_factors=prior,
+            )
+            z_work = _deflate_through(z, prior)
+            expected = [
+                cv_error(z_work, SparsityConstraint.coupled(v), seed=3, repeats=repeats)
+                for v in grid
+            ]
+            np.testing.assert_array_equal(result.grid.values, expected)
+
+    @pytest.mark.filterwarnings("ignore:rank-1 fit did not converge")
+    def test_cv_2d_values_equal_cv_error_per_cell(self, rng):
+        z = rng.normal(size=(7, 6))
+        gu, gv = [1.2, 2.0, np.sqrt(7.0)], [1.5, np.sqrt(6.0)]
+        result = grid_search_2d(z, grid_u=gu, grid_v=gv, criterion="cv", seed=1)
+        expected = [
+            [cv_error(z, SparsityConstraint.absolute(su, sv), seed=1) for sv in gv]
+            for su in gu
+        ]
+        np.testing.assert_array_equal(result.grid.values, expected)
 
     def test_bad_grids(self, rng):
         z = rng.normal(size=(6, 5))
@@ -309,6 +357,26 @@ class TestOneSvdPerSearch:
             for su in gu
         ]
         np.testing.assert_array_equal(result.grid.values, expected)
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_cv_search_stacks_every_sweep(self, rng, svd_calls, repeats):
+        # the search's own SVD, then one stacked SVD per sweep for all
+        # cells, repeats and folds at once
+        z = rng.normal(size=(8, 6))
+        grid = [0.5, 0.7, 0.9]
+        grid_search_1d(z, grid=grid, criterion="cv", seed=0, cv_repeats=repeats)
+        assert svd_calls == [z.shape] + [(len(grid) * repeats * 10, 8, 6)] * 20
+
+    def test_cv_chunks_keep_the_values(self, rng, svd_calls, monkeypatch):
+        # a cap of 25 matrices cuts the 30 members into two chunks
+        z = rng.normal(size=(8, 6))
+        grid = [0.5, 0.7, 0.9]
+        whole = grid_search_1d(z, grid=grid, criterion="cv", seed=4).grid.values
+        monkeypatch.setattr("sparseca.tuning.CV_STACK_ENTRIES", 25 * z.size)
+        del svd_calls[:]
+        chunked = grid_search_1d(z, grid=grid, criterion="cv", seed=4).grid.values
+        np.testing.assert_array_equal(chunked, whole)
+        assert svd_calls[1:] == [(25, 8, 6)] * 20 + [(5, 8, 6)] * 20
 
     def test_weight_paths(self, rng, svd_calls):
         z = rng.normal(size=(8, 6))
