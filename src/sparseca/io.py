@@ -7,7 +7,9 @@ literal "0" so sparsity survives grep.
 """
 
 import csv
+import io
 import os
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,19 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
     return value
 
 
+def _parsed(cells, count: int):
+    """``count`` cells as a float array, or None if one of them fails
+    ``_parse_cell``; Python's ``float`` reads each cell, so the accepted
+    spellings are the same, and one array test checks them all."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=count)
+    except ValueError:
+        return None
+    if ((values >= 0) & (values < np.inf)).all():
+        return values
+    return None
+
+
 def read_contingency_csv(path, drop_empty: bool = False) -> ContingencyTable:
     """Load a labeled contingency table.
 
@@ -37,6 +52,10 @@ def read_contingency_csv(path, drop_empty: bool = False) -> ContingencyTable:
     column labels; every other row starts with its row label. Ragged
     rows, non-numeric or negative cells, and duplicate labels raise
     ``ParseError`` with the offending line and column (1-based).
+
+    Each data row is converted with one ``float`` per cell and tested
+    as one array; only a row that fails goes through ``_parse_cell``
+    cell by cell, to name the first bad cell.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         rows = [(i, row) for i, row in enumerate(csv.reader(handle), start=1) if row]
@@ -73,9 +92,11 @@ def read_contingency_csv(path, drop_empty: bool = False) -> ContingencyTable:
             raise ParseError(f"duplicate row label {label!r}", line=line, column=1)
         seen[label] = line
         row_labels.append(label)
-        counts.append(
-            [_parse_cell(cell, line, j) for j, cell in enumerate(row[1:], start=2)]
-        )
+        values = _parsed(row[1:], len(col_labels))
+        if values is None:
+            for j, cell in enumerate(row[1:], start=2):
+                _parse_cell(cell, line, j)
+        counts.append(values)
     if not counts:
         raise ParseError("no data rows", line=1, column=1)
     return ContingencyTable.from_counts(
@@ -95,13 +116,39 @@ def _format_count(value: float) -> str:
     return repr(value)
 
 
+def _row_text(row: np.ndarray, spec: str) -> str:
+    """``row``'s cells printed by the printf conversion ``spec`` and
+    joined by commas, with one ``%`` for the row; -0.0 prints as 0."""
+    return ",".join([spec] * len(row)) % tuple((row + 0.0).tolist())
+
+
+def _write_labeled_rows(handle, labels, texts) -> None:
+    """Write one ``label,text`` line per label, the label quoted as the
+    csv writer quotes a cell that more cells follow."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for label, text in zip(labels, texts):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([label, ""])
+        handle.write(f"{buffer.getvalue()[:-1]}{text}\n")
+
+
 def write_contingency_csv(table: ContingencyTable, path) -> None:
-    """Inverse of ``read_contingency_csv``, byte-stable on round trips."""
+    """Inverse of ``read_contingency_csv``, byte-stable on round trips.
+
+    A row of integers below 1e16 is printed with ``%d`` in one step;
+    any other row goes through ``_format_count`` cell by cell.
+    """
+    counts = table.counts
+    integral = np.all((counts == np.trunc(counts)) & (np.abs(counts) < 1e16), axis=1)
+    texts = (
+        _row_text(row, "%d") if whole else ",".join(map(_format_count, row))
+        for row, whole in zip(counts, integral)
+    )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", *table.col_labels])
-        for label, row in zip(table.row_labels, table.counts):
-            writer.writerow([label, *[_format_count(v) for v in row]])
+        csv.writer(handle, lineterminator="\n").writerow(["id", *table.col_labels])
+        _write_labeled_rows(handle, table.row_labels, texts)
 
 
 def build_dtm(
@@ -119,6 +166,10 @@ def build_dtm(
     Documents keep their order of first appearance; token columns are
     ordered by descending corpus count, then token. Documents left
     empty after filtering are dropped when ``drop_empty`` is set.
+
+    The count column is converted in one pass and tested as one array,
+    like a table row in ``read_contingency_csv``; ragged lines and bad
+    counts raise ``ParseError`` for the earliest offending line.
     """
     if min_count < 1:
         raise InputError(f"min_count must be at least 1, got {min_count}")
@@ -141,16 +192,21 @@ def build_dtm(
             f"header must be doc_id,token,count, got {header!r}", line=1, column=1
         )
 
+    # the lines before the first ragged one hold the counts to parse; a
+    # bad count among them comes first, else the ragged line's error
+    ragged = next((k for k in range(1, len(rows)) if len(rows[k][1]) != 3), len(rows))
+    counts = _parsed((row[2] for _line, row in islice(rows, 1, ragged)), ragged - 1)
+    if counts is None:
+        for line, row in islice(rows, 1, ragged):
+            _parse_cell(row[2], line, 3)
+    if ragged < len(rows):
+        line, row = rows[ragged]
+        raise ParseError(f"expected 3 cells, got {len(row)}", line=line, column=len(row) + 1)
+
     doc_order = []
     cells = {}
     totals = {}
-    for line, row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(
-                f"expected 3 cells, got {len(row)}", line=line, column=len(row) + 1
-            )
-        doc, token, raw = row
-        count = _parse_cell(raw, line, 3)
+    for (_line, (doc, token, _raw)), count in zip(islice(rows, 1, None), map(float, counts)):
         if token in stoplist:
             continue
         if doc not in cells:
@@ -247,13 +303,10 @@ def write_tables_csv(model, out_dir) -> list:
                     header.append(f"weight_{d}")
                 header += [f"contrib_{d}", f"coord_{d}"]
             writer.writerow(header)
-            for i, label in enumerate(labels):
-                row = [label]
-                for d in range(n_dims):
-                    if weights is not None:
-                        row.append(format_sig(weights[i, d]))
-                    row += [format_sig(contrib_side[i, d]), format_sig(coords[i, d])]
-                writer.writerow(row)
+            # per dimension: [weight,] contrib, coord
+            columns = [contrib_side, coords] if weights is None else [weights, contrib_side, coords]
+            cells = np.stack([c[:, :n_dims] for c in columns], axis=2).reshape(len(coords), -1)
+            _write_labeled_rows(handle, labels, (_row_text(row, "%.6g") for row in cells))
         paths.append(path)
     return paths
 

@@ -105,23 +105,29 @@ def _padded(values, pad):
 
 
 def _place_labels(entries):
-    """Greedy collision avoidance: push a clashing label down in steps."""
-    boxes = []
+    """Greedy collision avoidance: push a clashing label down in steps.
+
+    Each label tries 24 baselines 12 px apart and takes the first whose
+    box overlaps no placed box, or the 25th when all 24 clash. All 24
+    are tested against the placed boxes in one array comparison.
+    """
+    boxes = np.empty((len(entries), 4))
+    steps = np.full(25, 12.0)
     out = []
-    for px, py, text in entries:
+    for n, (px, py, text) in enumerate(entries):
         w = 6.5 * len(text) + 4
         h = 11.0
-        lx, ly = px + 5.0, py - 4.0
-        for _ in range(24):
-            box = (lx, ly - h, lx + w, ly)
-            clash = any(
-                box[0] < b[2] and b[0] < box[2] and box[1] < b[3] and b[1] < box[3]
-                for b in boxes
-            )
-            if not clash:
-                break
-            ly += 12.0
-        boxes.append((lx, ly - h, lx + w, ly))
+        lx = px + 5.0
+        # the baselines by repeated addition, as when pushed step by step
+        steps[0] = py - 4.0
+        lys = np.cumsum(steps)
+        placed = boxes[:n]
+        near = placed[(lx < placed[:, 2]) & (placed[:, 0] < lx + w)]
+        clash = (
+            (lys[:24, None] - h < near[:, 3]) & (near[:, 1] < lys[:24, None])
+        ).any(axis=1)
+        ly = float(lys[24 if clash.all() else np.argmin(clash)])
+        boxes[n] = (lx, ly - h, lx + w, ly)
         out.append((lx, ly, text))
     return out
 
@@ -270,8 +276,10 @@ def _render_scree(model, spec):
     return _svg_document("\n".join(parts), frame, spec.title)
 
 
-def _polyline(points, color, extra=""):
-    joined = " ".join(f"{_px(x)},{_px(y)}" for x, y in points)
+def _polyline(xs, ys, color, extra=""):
+    """Points ``(xs[i], ys[i])`` formatted as ``_px`` does, in one ``%``."""
+    xy = np.column_stack([xs, ys]).ravel().tolist()
+    joined = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(xy)
     return (
         f'<polyline points="{joined}" fill="none" stroke="{color}"'
         f' stroke-width="1.2"{extra}/>'
@@ -291,17 +299,15 @@ def _render_weight_path(path_result, spec):
         y0 = MARGIN + p * (panel_h + MARGIN)
         frame = _Frame(values, matrix, y0=y0, height=panel_h)
         inner = _axis_cross(frame)
+        xs, ys = frame.x(values), frame.y(matrix)
         for j in range(matrix.shape[1]):
-            pts = [(frame.x(values[g]), frame.y(matrix[g, j]))
-                   for g in range(len(values))]
-            if len(pts) == 1:
-                x, y = pts[0]
+            if len(values) == 1:
                 inner.append(
-                    f'<circle class="{side}-path" cx="{_px(x)}" cy="{_px(y)}" r="2"'
+                    f'<circle class="{side}-path" cx="{_px(xs[0])}" cy="{_px(ys[0, j])}" r="2"'
                     f' fill="{PALETTE[j % len(PALETTE)]}" data-index="{j}"/>'
                 )
             else:
-                inner.append(_polyline(pts, PALETTE[j % len(PALETTE)],
+                inner.append(_polyline(xs, ys[:, j], PALETTE[j % len(PALETTE)],
                                        f' class="{side}-path" data-index="{j}"'))
         parts.append(f'<g id="{side}-panel"{frame.attrs()}>')
         parts.extend(inner)
@@ -336,7 +342,8 @@ def _render_criterion_curve(result, spec):
             x, y = seg[0]
             parts.append(f'<circle cx="{_px(x)}" cy="{_px(y)}" r="2" fill="{ROW_COLOR}"/>')
         else:
-            parts.append(_polyline(seg, ROW_COLOR))
+            xs, ys = zip(*seg)
+            parts.append(_polyline(xs, ys, ROW_COLOR))
     idx = int(np.flatnonzero(grid.axis1 == result.optimum)[0])
     parts.append(
         f'<circle class="optimum" cx="{_px(frame.x(result.optimum))}"'

@@ -240,7 +240,8 @@ def cv_error(
     zero) for a fixed number of sweeps, and the squared error of the
     final reconstruction on the blanks is recorded. Returns the mean
     over folds and repeats. The same seed always yields the same folds
-    and therefore the same error.
+    and therefore the same error. The folds of a repeat are disjoint,
+    so ``holdout_fraction * folds`` may not exceed 1 (``InputError``).
 
     All folds and repeats run as one stack: each sweep takes one stacked
     SVD of the refilled matrices and one stacked rank-1 fit, and a grid
@@ -278,10 +279,18 @@ def _cv_errors(
         raise InputError(f"sweeps must be at least 1, got {sweeps}")
     if not (np.isfinite(holdout_fraction) and 0.0 < holdout_fraction <= 1.0):
         raise InputError(f"holdout_fraction must lie in (0, 1], got {holdout_fraction}")
+    # folds partition a permutation of the cells, so together they can
+    # hold out at most all of them; 1e-9 forgives round-off such as
+    # (0.1 / 0.7) * 7 = 1.0000000000000002
+    if holdout_fraction * folds > 1.0 + 1e-9:
+        raise InputError(
+            f"holdout_fraction {holdout_fraction} times {folds} folds exceeds 1;"
+            f" disjoint folds can hold out at most 1/{folds} of the cells each"
+        )
     z = np.asarray(z, dtype=float)
     n_cells = z.size
-    # folds partition a permutation of the cells, so cap the holdout so
-    # that all folds fit even when the fraction rounds past n/folds
+    # cap the holdout so that all folds fit even when the fraction rounds
+    # past n/folds
     holdout = min(max(1, int(round(n_cells * holdout_fraction))), n_cells // folds)
     if holdout < 1:
         raise InputError(

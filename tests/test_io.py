@@ -5,10 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from sparseca.ca import ContingencyTable, fit_ca
+from sparseca.ca import ContingencyTable, contributions, fit_ca
 from sparseca.cluster import typicality_zscores
 from sparseca.errors import InputError, ParseError, SingularMarginError
 from sparseca.io import (
+    _format_count,
+    _parse_cell,
+    _row_text,
     build_dtm,
     format_sig,
     read_contingency_csv,
@@ -18,7 +21,7 @@ from sparseca.io import (
     write_tuning_csv,
     write_typicality_csv,
 )
-from sparseca.sparse import SparsityConstraint, fit_sparse_ca
+from sparseca.sparse import SparsityConstraint, fit_sparse_ca, sparse_contributions
 from sparseca.tuning import grid_search_1d, grid_search_2d
 
 from conftest import random_table
@@ -334,3 +337,225 @@ class TestTuningAndClusterWriters:
         assert [r[1] for r in rows] == ["1", "2", "1", "2"]
         assert rows[0][2] == "category 1"
         assert float(rows[0][3]) == pytest.approx(3.16228, abs=1e-4)
+
+
+# Reference loops: the cell-by-cell reader and writers the row-at-a-time
+# code replaced. The tests require the same values, errors and bytes.
+
+
+def reference_write_contingency(table, path):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["id", *table.col_labels])
+        for label, row in zip(table.row_labels, table.counts):
+            writer.writerow([label, *[_format_count(v) for v in row]])
+
+
+def reference_table_rows(labels, weights, contrib, coords, n_dims, path):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        for i, label in enumerate(labels):
+            row = [label]
+            for d in range(n_dims):
+                if weights is not None:
+                    row.append(format_sig(weights[i, d]))
+                row += [format_sig(contrib[i, d]), format_sig(coords[i, d])]
+            writer.writerow(row)
+
+
+def parse_outcome(call):
+    """The value ``call`` returns, or its ParseError as (message, line, column)."""
+    try:
+        return call()
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+SPELLINGS = ["1_0", " 3 ", "１２", "1e3", "-0", "nan", "inf", "-1", "x", ""]
+
+
+class TestRowParsingMatchesCellParsing:
+    @pytest.mark.parametrize("cell", SPELLINGS)
+    def test_reader_cell(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["id,a,b", "x,1,2", f"y,4,{cell}", "z,5,6"])
+        want = parse_outcome(lambda: _parse_cell(cell, 3, 3))
+        got = parse_outcome(lambda: read_contingency_csv(path).counts[1, 1])
+        assert got == want
+        if isinstance(want, float):
+            assert np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("cell", SPELLINGS)
+    def test_dtm_count(self, tmp_path, cell):
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["doc_id,token,count", "d1,pear,5", f"d1,apple,{cell}", "d2,apple,3"])
+        want = parse_outcome(lambda: _parse_cell(cell, 3, 3))
+
+        def apple_in_d1():
+            table = build_dtm(path)
+            return table.counts[0, table.col_labels.index("apple")]
+
+        assert parse_outcome(apple_in_d1) == want
+
+    @pytest.mark.parametrize(
+        "cells, column, message",
+        [
+            ("1,x,-1", 3, "non-numeric cell 'x'"),
+            ("1,-1,x", 3, "negative cell '-1'"),
+            ("1,2,inf", 4, "non-finite cell 'inf'"),
+            ("oops,2,nan", 2, "non-numeric cell 'oops'"),
+        ],
+    )
+    def test_first_bad_cell_of_row_is_named(self, tmp_path, cells, column, message):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["id,a,b,c", "x,1,2,3", f"y,{cells}"])
+        with pytest.raises(ParseError) as info:
+            read_contingency_csv(path)
+        assert (info.value.line, info.value.column) == (3, column)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "lines, position",
+        [
+            # a bad cell on line 3 comes before the ragged line 4 and the
+            # duplicate label on line 5
+            (["id,a,b", "x,1,2", "y,1,oops", "z,1", "y,3,4"], (3, 3)),
+            (["id,a,b", "x,1,2", "y,-1,2", "x,3,4"], (3, 2)),
+            # and the other way round
+            (["id,a,b", "x,1,2", "z,1", "y,1,oops"], (3, 3)),
+            (["id,a,b", "x,1,2", "x,3,4", "y,-1,2"], (3, 1)),
+        ],
+    )
+    def test_reader_reports_earliest_line(self, tmp_path, lines, position):
+        path = tmp_path / "t.csv"
+        write_lines(path, lines)
+        with pytest.raises(ParseError) as info:
+            read_contingency_csv(path)
+        assert (info.value.line, info.value.column) == position
+
+    @pytest.mark.parametrize(
+        "rows, position, message",
+        [
+            (["d1,a,2", "d1,b,2", "d2,a,3", "d2,c,oops", "d3,a,1", "d3,b,1", "d4,a,1", "d4"],
+             (5, 3), "non-numeric"),
+            (["d1,a,2", "d1", "d2,a,3", "d2,c,-4"], (3, 2), "expected 3 cells"),
+            (["d1,a,2", "d1,b,nan", "d2,a,3,4"], (3, 3), "non-finite"),
+            (["d1,a,2,9", "d1,b,nan"], (2, 5), "expected 3 cells"),
+        ],
+    )
+    def test_dtm_reports_earliest_line(self, tmp_path, rows, position, message):
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["doc_id,token,count", *rows])
+        with pytest.raises(ParseError, match=message) as info:
+            build_dtm(path)
+        assert (info.value.line, info.value.column) == position
+
+
+class TestCellParserNotCalledOnValidInput:
+    """Structural guard: valid input never reaches the per-cell parser."""
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        import sparseca.io
+
+        calls = []
+
+        def counting(cell, line, column):
+            calls.append((line, column))
+            return _parse_cell(cell, line, column)
+
+        monkeypatch.setattr(sparseca.io, "_parse_cell", counting)
+        return calls
+
+    def test_valid_table(self, tmp_path, rng, parse_calls):
+        table = ContingencyTable.from_counts(random_table(rng, 60, 50, total=20000))
+        path = tmp_path / "t.csv"
+        write_contingency_csv(table, path)
+        again = read_contingency_csv(path)
+        np.testing.assert_array_equal(again.counts, table.counts)
+        assert parse_calls == []
+
+    def test_valid_triples(self, tmp_path, rng, parse_calls):
+        counts = random_table(rng, 30, 40, total=5000)
+        lines = [f"d{i},t{j},{int(counts[i, j])}" for i, j in zip(*np.nonzero(counts))]
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["doc_id,token,count", *lines])
+        build_dtm(path)
+        assert parse_calls == []
+
+    def test_one_bad_cell_falls_back(self, tmp_path, parse_calls):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["id,a,b,c", "x,1,2,3", "y,4,5,-6", "z,7,8,9"])
+        with pytest.raises(ParseError, match="line 3, column 4"):
+            read_contingency_csv(path)
+        assert parse_calls == [(3, 2), (3, 3), (3, 4)]
+
+    def test_one_bad_count_falls_back(self, tmp_path, parse_calls):
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["doc_id,token,count", "d1,a,2", "d1,b,x", "d2,a,3"])
+        with pytest.raises(ParseError, match="line 3, column 3"):
+            build_dtm(path)
+        assert parse_calls == [(2, 3), (3, 3)]
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-05, 0.0001, 999999.5, 1e16, 9999999999999998.0,
+               2.5, 1.0 / 3.0, 123456789.0, 7.0, 5e-324]
+TRICKY_LABELS = ["plain", "a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", " pad ", ""]
+
+
+class TestRowFormatterMatchesCellFormatters:
+    def test_sig_row_equals_format_sig(self):
+        values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES] + [np.nan, np.inf, -np.inf])
+        assert _row_text(values, "%.6g") == ",".join(format_sig(v) for v in values)
+
+    def test_count_row_equals_format_count(self):
+        values = np.array([0.0, -0.0, 1.0, 400000.0, 9999999999999998.0])
+        assert _row_text(values, "%d") == ",".join(_format_count(v) for v in values)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_contingency_writer_equals_reference(self, tmp_path, rng, fractional):
+        counts = random_table(rng, 9, len(EDGE_VALUES) + 1, total=800)
+        counts[0, :-1] = EDGE_VALUES
+        counts[1, :3] = [1e16, 2e16, 3.0]
+        if fractional:
+            counts[2:, 0] += 0.5
+        labels = TRICKY_LABELS + ["r7", "r8"]
+        table = ContingencyTable.from_counts(counts, row_labels=labels)
+        write_contingency_csv(table, tmp_path / "new.csv")
+        reference_write_contingency(table, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_round_trip_with_edge_values(self, tmp_path, rng):
+        counts = random_table(rng, 5, len(EDGE_VALUES) + 1, total=800)
+        counts[0, :-1] = EDGE_VALUES
+        table = ContingencyTable.from_counts(counts)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_contingency_csv(table, first)
+        again = read_contingency_csv(first)
+        write_contingency_csv(again, second)
+        assert first.read_bytes() == second.read_bytes()
+        np.testing.assert_array_equal(again.counts, table.counts)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_table_writer_equals_reference(self, tmp_path, rng, sparse):
+        labels = TRICKY_LABELS + [f"r{i}" for i in range(len(TRICKY_LABELS), 12)]
+        table = ContingencyTable.from_counts(random_table(rng, 12, 9, total=900),
+                                             row_labels=labels)
+        if sparse:
+            model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 3, n_dims=3)
+            weights = np.column_stack([f.u for f in model.factors])
+            contrib = sparse_contributions(model).row_contrib
+            n_dims = 3
+        else:
+            model = fit_ca(table)
+            weights = None
+            contrib = contributions(model).row_contrib
+            n_dims = model.n_dims
+        write_tables_csv(model, tmp_path)
+        reference_table_rows(labels, weights, contrib, model.row_coords, n_dims,
+                             tmp_path / "old.csv")
+        written = (tmp_path / "rows.csv").read_bytes()
+        body = written[written.index(b"\n") + 1:]
+        assert body == (tmp_path / "old.csv").read_bytes()
+        if sparse:
+            assert b",0," in body

@@ -15,6 +15,7 @@ from sparseca.ca import ContingencyTable, fit_ca
 from sparseca.cluster import cut_tree, typicality_zscores, ward_cluster
 from sparseca.errors import InputError
 from sparseca.sparse import SparsityConstraint, fit_sparse_ca
+from sparseca import svg
 from sparseca.svg import PlotSpec, render_svg
 from sparseca.tuning import WeightPath, grid_search_1d, grid_search_2d, weight_paths
 
@@ -284,3 +285,138 @@ class TestRenderSvgDispatch:
         ):
             root = parse(render_svg(artifact, PlotSpec(kind)))
             assert root.tag.endswith("svg")
+
+
+# Reference loops: the label placement and point-by-point polyline
+# formatting that the array code replaced. Outputs must be identical.
+
+
+def reference_place_labels(entries):
+    boxes = []
+    out = []
+    for px, py, text in entries:
+        w = 6.5 * len(text) + 4
+        h = 11.0
+        lx, ly = px + 5.0, py - 4.0
+        for _ in range(24):
+            box = (lx, ly - h, lx + w, ly)
+            clash = any(
+                box[0] < b[2] and b[0] < box[2] and box[1] < b[3] and b[1] < box[3]
+                for b in boxes
+            )
+            if not clash:
+                break
+            ly += 12.0
+        boxes.append((lx, ly - h, lx + w, ly))
+        out.append((lx, ly, text))
+    return out
+
+
+def reference_polyline(points, color, extra=""):
+    joined = " ".join(f"{svg._px(x)},{svg._px(y)}" for x, y in points)
+    return (
+        f'<polyline points="{joined}" fill="none" stroke="{color}"'
+        f' stroke-width="1.2"{extra}/>'
+    )
+
+
+def reference_weight_path(path_result, spec):
+    values = np.asarray(path_result.values, dtype=float)
+    panels = (("u", path_result.u_path), ("v", path_result.v_path))
+    panel_h = (svg.HEIGHT - 3 * svg.MARGIN) / 2
+    parts = []
+    frame = None
+    for p, (side, matrix) in enumerate(panels):
+        matrix = np.asarray(matrix, dtype=float)
+        y0 = svg.MARGIN + p * (panel_h + svg.MARGIN)
+        frame = svg._Frame(values, matrix, y0=y0, height=panel_h)
+        inner = svg._axis_cross(frame)
+        for j in range(matrix.shape[1]):
+            pts = [(frame.x(values[g]), frame.y(matrix[g, j]))
+                   for g in range(len(values))]
+            color = svg.PALETTE[j % len(svg.PALETTE)]
+            if len(pts) == 1:
+                x, y = pts[0]
+                inner.append(
+                    f'<circle class="{side}-path" cx="{svg._px(x)}" cy="{svg._px(y)}" r="2"'
+                    f' fill="{color}" data-index="{j}"/>'
+                )
+            else:
+                inner.append(reference_polyline(pts, color,
+                                                f' class="{side}-path" data-index="{j}"'))
+        parts.append(f'<g id="{side}-panel"{frame.attrs()}>')
+        parts.extend(inner)
+        parts.append(svg._text(16, y0 - 6, f"{side} weights"))
+        parts.append("</g>")
+    parts.append(svg._text(svg.WIDTH / 2, svg.HEIGHT - 16, "budget", anchor="middle"))
+    return svg._svg_document("\n".join(parts), frame, spec.title)
+
+
+def label_entries(rng, n, spread, max_len, centers=4):
+    """``n`` labels around a few centers; every tenth sits exactly on
+    its center, so stacks of identical points exhaust the 24 pushes."""
+    middle = rng.uniform([60, 60], [580, 420], size=(centers, 2))
+    pick = rng.integers(centers, size=n)
+    points = middle[pick] + rng.normal(scale=spread, size=(n, 2))
+    points[::10] = middle[pick[::10]]
+    lengths = rng.integers(1, max_len + 1, size=n)
+    return [(float(x), float(y), "w" * int(k)) for (x, y), k in zip(points, lengths)]
+
+
+class TestArrayCodeMatchesReference:
+    @pytest.mark.parametrize(
+        "n, spread, max_len",
+        [(1, 5.0, 4), (2, 0.0, 3), (7, 3.0, 40), (60, 2.0, 12), (300, 40.0, 8),
+         (300, 1.0, 60), (920, 120.0, 9), (1500, 200.0, 10)],
+    )
+    def test_place_labels(self, n, spread, max_len):
+        rng = np.random.default_rng([n, int(spread), max_len])
+        entries = label_entries(rng, n, spread, max_len)
+        got = svg._place_labels(entries)
+        want = reference_place_labels(entries)
+        assert got == want
+
+    def test_place_labels_exhausts_pushes(self):
+        entries = [(100.0, 100.0, f"label{k}") for k in range(40)]
+        got = svg._place_labels(entries)
+        assert got == reference_place_labels(entries)
+        # the 26th label finds all 24 baselines taken and gets the 25th
+        assert got[25][1] == got[24][1] == 100.0 - 4.0 + 24 * 12.0
+
+    def test_place_labels_touching_boxes(self):
+        # "ab" boxes are 17 px wide and 11 px tall: on a 17 x 11 lattice
+        # neighbours touch without overlapping, on 16 x 10 they overlap
+        for dx, dy in ((17.0, 11.0), (16.0, 10.0), (17.0, 10.0), (16.0, 11.0)):
+            entries = [(dx * i, dy * j, "ab") for j in range(6) for i in range(6)]
+            got = svg._place_labels(entries)
+            assert got == reference_place_labels(entries)
+            pushed = sum(ly != py - 4.0 for (_x, py, _t), (_lx, ly, _l) in zip(entries, got))
+            assert (pushed == 0) == ((dx, dy) == (17.0, 11.0))
+
+    def test_place_labels_numpy_coordinates_and_nan(self, model):
+        entries = [(np.float64(x), np.float64(y), t)
+                   for x, y, t in label_entries(np.random.default_rng(3), 50, 4.0, 6)]
+        entries[7] = (np.float64(np.nan), np.float64(10.0), "nan x")
+        entries[9] = (np.float64(30.0), np.float64(np.nan), "nan y")
+        got = svg._place_labels(entries)
+        want = reference_place_labels(entries)
+        assert [t for *_xy, t in got] == [t for *_xy, t in want]
+        np.testing.assert_array_equal([xy for *xy, _t in got], [xy for *xy, _t in want])
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.7, 0.9, 1.0], [0.8], np.linspace(0.45, 1.0, 15)])
+    def test_weight_path_matches_point_formatting(self, model, grid):
+        wp = weight_paths(model.residuals, grid=grid)
+        spec = PlotSpec("weight_path", title="paths")
+        assert render_svg(wp, spec) == reference_weight_path(wp, spec)
+
+    def test_criterion_curve_polylines_match_point_formatting(self, model):
+        result = grid_search_1d(model.residuals, grid=[0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+        result.grid.values[2] = np.nan
+        root = parse(render_svg(result, PlotSpec("criterion_curve")))
+        frame = svg._Frame(result.grid.axis1, result.grid.values[np.isfinite(result.grid.values)])
+        want = [
+            " ".join(f"{svg._px(frame.x(v))},{svg._px(frame.y(result.grid.values[i]))}"
+                     for i, v in enumerate(result.grid.axis1) if i in segment)
+            for segment in ((0, 1), (3, 4, 5))
+        ]
+        assert [el.attrib["points"] for el in tagged(root, "polyline")] == want

@@ -193,12 +193,32 @@ class TestCvError:
             {"holdout_fraction": 5.0},
             {"holdout_fraction": np.nan},
             {"holdout_fraction": np.inf},
+            {"holdout_fraction": 0.3},
+            {"holdout_fraction": 0.5},
+            {"holdout_fraction": 1.0},
+            {"holdout_fraction": 0.3, "folds": 4},
         ],
     )
     def test_bad_sweeps_or_holdout_rejected(self, rng, kwargs):
         z = rng.normal(size=(8, 6))
         with pytest.raises(InputError, match="sweeps|holdout"):
             cv_error(z, SparsityConstraint.coupled(0.9), seed=0, **kwargs)
+
+    def test_folds_may_hold_out_every_cell(self):
+        # 0.1 * 10 folds is 1 up to round-off, and 48 cells round to
+        # folds of 5 that are capped at 48 // 10 = 4 cells
+        z = np.random.default_rng(0).normal(size=(8, 6))
+        value = cv_error(z, SparsityConstraint.coupled(0.8), seed=1, sweeps=3)
+        assert value == 1.1779082297558154
+        # 0.1 / 0.7 * 7 rounds to 1.0000000000000002
+        for fraction, folds in ((1 / 3, 3), (0.25, 4), (0.5, 2), (0.1 / 0.7, 7)):
+            assert np.isfinite(cv_error(z, SparsityConstraint.coupled(0.8), seed=1,
+                                        sweeps=3, folds=folds, holdout_fraction=fraction))
+
+    def test_fraction_and_folds_named(self):
+        z = np.random.default_rng(0).normal(size=(8, 6))
+        with pytest.raises(InputError, match=r"holdout_fraction 0\.3 times 10 folds"):
+            cv_error(z, SparsityConstraint.coupled(0.8), holdout_fraction=0.3)
 
     @pytest.mark.parametrize("kwargs", [{"folds": 0}, {"folds": -1}, {"repeats": 0}])
     def test_nonpositive_folds_or_repeats_rejected(self, rng, kwargs):
