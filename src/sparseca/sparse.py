@@ -20,8 +20,10 @@ from .linalg import _l1_project_rows, _row_pick, full_svd, l1_constrained_unit_v
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
-# spacing of the budget grid walked by nnz_target_search
+# spacing of the budget grid walked by nnz_target_search, and the number
+# of consecutive budgets it fits as one stack
 NNZ_GRID_STEP = 0.2
+NNZ_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -180,44 +182,69 @@ def pmd_rank1(
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
     budget_u, budget_v = constraint.budgets(z.shape)
-    if start is None:
-        start = full_svd(z).V[:, 0]
-    else:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (z.shape[1],):
-            raise InputError(
-                f"start vector of shape {start.shape} does not match "
-                f"{z.shape[1]} columns"
-            )
-        if not np.all(np.isfinite(start)):
-            raise InputError("start vector contains non-finite entries")
-        if not np.any(start):
-            raise DegenerateInputError("start vector is all zero")
+    start = _warm_start(z, start)
     fit = _rank1_stack(
         z, np.inf if budget_u is None else budget_u, budget_v, start, max_iter, tol
     )
+    return _sparse_factor(fit, constraint)
+
+
+def _warm_start(z: np.ndarray, start) -> np.ndarray:
+    """The leading right singular vector of ``z``: the one given, checked,
+    or else taken from an SVD of ``z``."""
+    if start is None:
+        return full_svd(z).V[:, 0]
+    start = np.asarray(start, dtype=float)
+    if start.shape != (z.shape[1],):
+        raise InputError(
+            f"start vector of shape {start.shape} does not match "
+            f"{z.shape[1]} columns"
+        )
+    if not np.all(np.isfinite(start)):
+        raise InputError("start vector contains non-finite entries")
+    if not np.any(start):
+        raise DegenerateInputError("start vector is all zero")
+    return start
+
+
+def _sparse_factor(
+    fit: "_StackFit", constraint: SparsityConstraint, member=()
+) -> SparseFactor:
+    """The ``SparseFactor`` of one member of a stacked fit, or of a single
+    fit with the default ``member=()``."""
+    u, v, alpha = fit.u[member], fit.v[member], float(fit.alpha[member])
     return SparseFactor(
-        u=fit.u,
-        v=fit.v,
-        alpha=float(fit.alpha),
-        eigenvalue=float(fit.alpha) ** 2,
-        nnz_u=int(np.count_nonzero(fit.u)),
-        nnz_v=int(np.count_nonzero(fit.v)),
+        u=u,
+        v=v,
+        alpha=alpha,
+        eigenvalue=alpha**2,
+        nnz_u=int(np.count_nonzero(u)),
+        nnz_v=int(np.count_nonzero(v)),
         constraint=constraint,
-        converged=bool(fit.converged),
-        n_iter=int(fit.n_iter),
+        converged=bool(fit.converged[member]),
+        n_iter=int(fit.n_iter[member]),
     )
 
 
+def _budget_arrays(constraints, shape: tuple) -> tuple:
+    """Row and column budgets of a stack with one member per constraint;
+    unpenalized rows get an infinite row budget."""
+    budgets = [c.budgets(shape) for c in constraints]
+    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
+    return budget_u, np.array([bv for _, bv in budgets])
+
+
 class _StackFit(NamedTuple):
-    """Rank-1 fits of one matrix or a stack: per-member values are scalars
-    for one matrix and arrays with one row per member for a stack."""
+    """Rank-1 fits of ``_rank1_stack``: per-member values are scalars for
+    a single fit and arrays with one row per member for a stack; ``change``
+    is each member's last column-weight change."""
 
     u: np.ndarray
     v: np.ndarray
     alpha: np.ndarray
     converged: np.ndarray
     n_iter: np.ndarray
+    change: np.ndarray
 
 
 def _project(x: np.ndarray, budgets) -> np.ndarray:
@@ -236,17 +263,34 @@ def _rank1_stack(
     max_iter: int = 200,
     tol: float = 1e-7,
 ) -> _StackFit:
-    """The alternating loop of ``pmd_rank1``, for one matrix or a stack.
+    """The alternating loop of ``pmd_rank1``, for one fit or a stack of them.
 
-    ``z`` has shape (n, m), or (B, n, m) for a stack of B members with
-    ``budget_u``, ``budget_v`` of shape (B,) and ``start`` of shape
-    (B, m); an infinite row budget means unpenalized rows. Members are
+    A stack of B members has ``budget_u``, ``budget_v`` of shape (B,) and
+    ``start`` of shape (B, m); ``z`` is a stack of shape (B, n, m), or one
+    matrix of shape (n, m) that every member fits under its own budgets.
+    An infinite row budget means unpenalized rows. Members are
     independent: each one stops at its own first column-weight change
     below ``tol`` and ends with the weights, iteration count and checks
-    its own fit would give. Cross-validation runs all folds and grid
-    cells of a sweep as one stack; ``pmd_rank1`` passes one matrix, for
-    which every per-member value is a scalar.
+    its own fit would give, to the last bit. A shared matrix is never
+    copied per member: the products broadcast it, one matrix-vector
+    product per member as in a single fit, and members that stop are
+    dropped from the budgets and iterates only.
+
+    Cross-validation fits the folds and grid cells of a sweep as a stack
+    of matrices; ``weight_paths``, the grid searches and
+    ``nnz_target_search`` fit their budgets of one matrix as a
+    shared-matrix stack; ``pmd_rank1`` passes one matrix and scalar
+    budgets, and gets scalars back. Each member that stops at
+    ``max_iter`` gets a warning; ``_rank1_fits`` is the loop without them.
     """
+    fit = _rank1_fits(z, budget_u, budget_v, start, max_iter, tol)
+    _warn_unconverged(fit, stacklevel=3)
+    return fit
+
+
+def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackFit:
+    """``_rank1_stack`` without the warnings, for a caller that uses only
+    some members and warns for those (see ``_warn_unconverged``)."""
     if not np.isfinite(z).all():
         raise InputError("matrix contains non-finite entries")
     nonzero = z.any(axis=(-2, -1))
@@ -258,7 +302,7 @@ def _rank1_stack(
     v = _project(start, budget_v)
     # members still iterating; a stack is compacted when some stop, and
     # each batch that stops is kept as (members, u, v, last change, step)
-    live = np.arange(nonzero.size)
+    live = np.arange(np.size(budget_v))
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
     free_rows = np.count_nonzero(np.isinf(bu)) == np.size(bu)
     stopped = []
@@ -290,8 +334,11 @@ def _rank1_stack(
         if n_done:
             stopped.append((live[done], u[done], v[done], change[done], step))
             keep = ~done
-            live, zs, zts = live[keep], zs[keep], zts[keep]
-            bu, bv, v, objective = bu[keep], bv[keep], v[keep], objective[keep]
+            live, bu, bv, v, objective = (
+                live[keep], bu[keep], bv[keep], v[keep], objective[keep]
+            )
+            if zs.ndim == 3:
+                zs, zts = zs[keep], zts[keep]
             free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
 
     if len(stopped) == 1:
@@ -303,14 +350,6 @@ def _rank1_stack(
             np.concatenate([batch[i] for batch in stopped])[order] for i in (1, 2, 3)
         )
         n_iter = np.concatenate([np.full(len(b[0]), b[4]) for b in stopped])[order]
-    converged = change < tol
-    if np.count_nonzero(converged) < converged.size:
-        for last in np.atleast_1d(change[~converged]):
-            warnings.warn(
-                f"rank-1 fit did not converge in {max_iter} iterations "
-                f"(last column-weight change {last:.2e})",
-                stacklevel=3,
-            )
     # sign convention: the largest-magnitude column weight is positive
     flip = _row_pick(v, np.abs(v).argmax(axis=-1)) < 0
     if np.count_nonzero(flip):
@@ -320,7 +359,23 @@ def _rank1_stack(
         raise SparseCAError(
             f"rank-1 fit ended with negative u'Zv = {alpha[alpha < 0.0][0]:.9g}"
         )
-    return _StackFit(u, v, alpha, converged, n_iter)
+    return _StackFit(u, v, alpha, change < tol, n_iter, change)
+
+
+def _warn_unconverged(fit: _StackFit, stacklevel: int, count=None) -> None:
+    """Warn, in member order, for each member of ``fit`` that stopped at
+    the iteration cap: of all members, or of the first ``count``.
+
+    ``stacklevel`` is counted from the caller, as ``warnings.warn``
+    counts it from its own caller.
+    """
+    n_iter, change = np.atleast_1d(fit.n_iter), np.atleast_1d(fit.change)
+    for i in np.flatnonzero(~np.atleast_1d(fit.converged)[:count]):
+        warnings.warn(
+            f"rank-1 fit did not converge in {n_iter[i]} iterations "
+            f"(last column-weight change {change[i]:.2e})",
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _check_ascent(side: str, before, after) -> None:
@@ -453,28 +508,45 @@ def nnz_target_search(
     ``target_met=False`` and a warning. Every fit warm-starts from
     ``start``, the leading right singular vector of ``z``; it is taken
     from one SVD of ``z`` when the caller does not supply it.
+
+    The walk fits ``NNZ_CHUNK`` (8) consecutive budgets at a time, as one
+    stack over the one matrix ``z``, and stops after the first chunk that
+    holds a hit. Each fit equals its own ``pmd_rank1`` fit, and only the
+    fits up to the hit warn when they do not converge, as a walk of
+    single fits would.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
+        raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
     if axis not in ("rows", "cols"):
         raise InputError(f"axis must be 'rows' or 'cols', got {axis!r}")
     length = z.shape[0] if axis == "rows" else z.shape[1]
     if not 1 <= target <= length:
         raise InputError(f"target must be in [1, {length}], got {target}")
-    if start is None:
-        start = full_svd(z).V[:, 0]
+    start = _warm_start(z, start)
     grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
+    if axis == "cols":
+        constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
+    else:
+        constraints = [
+            SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
+        ]
+    budget_u, budget_v = _budget_arrays(constraints, z.shape)
     best = None
-    for value in grid:
-        if axis == "cols":
-            constraint = SparsityConstraint.unpenalized_rows(value)
-        else:
-            constraint = SparsityConstraint.absolute(value, np.sqrt(z.shape[1]))
-        factor = pmd_rank1(z, constraint, start=start)
-        nnz = factor.nnz_v if axis == "cols" else factor.nnz_u
-        if nnz >= target:
-            return NnzSearchResult(float(value), nnz, True)
-        if best is None or nnz > best.nnz:
-            best = NnzSearchResult(float(value), nnz, False)
+    for lo in range(0, grid.size, NNZ_CHUNK):
+        chunk = slice(lo, lo + NNZ_CHUNK)
+        members = budget_v[chunk].size
+        fit = _rank1_fits(z, budget_u[chunk], budget_v[chunk], np.tile(start, (members, 1)))
+        nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
+        hits = np.flatnonzero(nnz >= target)
+        if hits.size:
+            _warn_unconverged(fit, stacklevel=2, count=hits[0] + 1)
+            return NnzSearchResult(float(grid[lo + hits[0]]), int(nnz[hits[0]]), True)
+        _warn_unconverged(fit, stacklevel=2)
+        # the first of the chunk's largest counts, as a walk of single fits finds it
+        i = int(nnz.argmax())
+        if best is None or nnz[i] > best.nnz:
+            best = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), False)
     warnings.warn(
         f"no grid budget reaches {target} nonzero {axis} weights; "
         f"closest is {best.nnz} at {best.value:.6g}",

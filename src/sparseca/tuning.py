@@ -11,7 +11,11 @@ right singular vector of the deflated matrix warm-starts every cell's
 rank-1 fit, and its singular values give the BIC variance scale. The
 sparsity index compares against plain SVD components of the undeflated
 matrix, which is a second SVD only when earlier dimensions were
-deflated out.
+deflated out. The cells' rank-1 fits then run as one stack over that
+one matrix, which every member shares rather than copies: a grid search
+or a weight path fits all its budgets in one alternating loop (the
+nonzero-target search in ``sparse`` walks its grid 8 budgets at a time
+the same way), and each member equals its own ``pmd_rank1`` fit.
 
 Cross-validation refits every fold for a fixed number of sweeps, and the
 folds and cells of a search are independent, so each sweep fits them as
@@ -30,9 +34,10 @@ from .linalg import full_svd
 from .sparse import (
     SparseFactor,
     SparsityConstraint,
+    _budget_arrays,
     _rank1_stack,
+    _sparse_factor,
     explained_variance,
-    pmd_rank1,
     ppmd_deflate,
 )
 
@@ -303,9 +308,7 @@ def _cv_errors(
         for fold in range(folds):
             masks[r * folds + fold, order[fold * holdout : (fold + 1) * holdout]] = True
     masks = masks.reshape(-1, *z.shape)
-    budgets = [c.budgets(z.shape) for c in constraints]
-    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
-    budget_v = np.array([bv for _, bv in budgets])
+    budget_u, budget_v = _budget_arrays(constraints, z.shape)
 
     # member i is fold i % len(masks) of constraint i // len(masks)
     n_members = len(constraints) * len(masks)
@@ -343,6 +346,16 @@ def default_coupled_grid(shape: tuple, step: float = 0.01) -> np.ndarray:
     return np.round(np.arange(start, 1.0 + step / 2, step), 10)
 
 
+def _increasing_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, checked to be nonempty and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise InputError("grid must contain at least one value")
+    if np.any(np.diff(grid) <= 0):
+        raise InputError("grid values must be strictly increasing")
+    return grid
+
+
 def _pick_optimum(cells, maximize):
     """Index of the best cell, first (sparser) winner on ties."""
     best = None
@@ -369,8 +382,10 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     the cells share is computed once, before the first cell: one SVD of
     the deflated matrix gives every cell's warm start and the BIC
     variance scale, and the IS reference fit reuses it unless prior
-    factors make the undeflated matrix a different one. Cross-validation
-    errors for all cells come from one stacked computation.
+    factors make the undeflated matrix a different one. The cells' own
+    rank-1 fits run as one stack over the deflated matrix, and
+    cross-validation errors for all cells come from one stacked
+    computation of their own.
     """
     if criterion not in ("is", "bic", "cv"):
         raise InputError(f"criterion must be 'is', 'bic' or 'cv', got {criterion!r}")
@@ -386,9 +401,14 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
 
+    stack = _rank1_stack(
+        z_work,
+        *_budget_arrays(constraints, z_work.shape),
+        np.tile(start, (len(constraints), 1)),
+    )
     results = []
     for i, constraint in enumerate(constraints):
-        factor = pmd_rank1(z_work, constraint, start=start)
+        factor = _sparse_factor(stack, constraint, i)
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
         if criterion == "is":
@@ -421,11 +441,7 @@ def grid_search_1d(
     z = np.asarray(z, dtype=float)
     if grid is None:
         grid = default_coupled_grid(z.shape)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InputError("grid must contain at least one value")
-    if np.any(np.diff(grid) <= 0):
-        raise InputError("grid values must be strictly increasing")
+    grid = _increasing_grid(grid)
     constraints = [SparsityConstraint.coupled(value) for value in grid]
     results = _evaluate_cells(
         z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
@@ -469,18 +485,16 @@ def grid_search_2d(
 ) -> TuningResult:
     """Search independent row and column budgets for one dimension.
 
-    Full factorial evaluation of ``grid_u`` times ``grid_v``; ties are
-    broken toward the lexicographically sparser pair.
+    Full factorial evaluation of ``grid_u`` times ``grid_v``, each of
+    them strictly increasing; ties are broken toward the lexicographically
+    sparser pair.
     """
     z = np.asarray(z, dtype=float)
     if grid_u is None:
         grid_u = default_absolute_grid(z.shape[0])
     if grid_v is None:
         grid_v = default_absolute_grid(z.shape[1])
-    grid_u = np.asarray(grid_u, dtype=float)
-    grid_v = np.asarray(grid_v, dtype=float)
-    if grid_u.size == 0 or grid_v.size == 0:
-        raise InputError("grids must contain at least one value")
+    grid_u, grid_v = _increasing_grid(grid_u), _increasing_grid(grid_v)
     constraints = [
         SparsityConstraint.absolute(su, sv) for su in grid_u for sv in grid_v
     ]
@@ -514,21 +528,24 @@ def grid_search_2d(
 
 
 def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
-    """Fitted weight vectors along a coupled grid, for path plots."""
+    """Fitted weight vectors along a strictly increasing coupled grid, for
+    path plots.
+
+    All grid values are fitted as one stack over the one deflated matrix,
+    warm-started from its one SVD; each path entry equals that value's
+    own ``pmd_rank1`` fit.
+    """
     z = np.asarray(z, dtype=float)
     if grid is None:
         grid = default_coupled_grid(z.shape)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InputError("grid must contain at least one value")
+    grid = _increasing_grid(grid)
     z_work = _deflate_through(z, prior_factors)
     start = full_svd(z_work).V[:, 0]
-    factors = [
-        pmd_rank1(z_work, SparsityConstraint.coupled(value), start=start)
-        for value in grid
-    ]
-    u_path = np.array([f.u for f in factors])
-    v_path = np.array([f.v for f in factors])
+    constraints = [SparsityConstraint.coupled(value) for value in grid]
+    stack = _rank1_stack(
+        z_work, *_budget_arrays(constraints, z_work.shape), np.tile(start, (grid.size, 1))
+    )
+    u_path, v_path = stack.u, stack.v
     zeros = (u_path == 0).sum(axis=1) + (v_path == 0).sum(axis=1)
     zero_fraction = zeros / (z.shape[0] + z.shape[1])
     return WeightPath(

@@ -440,6 +440,27 @@ class TestGridSearch2d:
         )
         assert np.all(np.isfinite(result.grid.values))
 
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"grid_u": [2.0, 1.5, 1.5]},
+            {"grid_u": [1.5, 2.0], "grid_v": [1.2, 1.2]},
+            {"grid_v": [2.0, 1.1]},
+        ],
+        ids=["rows folding back", "repeated column value", "decreasing columns"],
+    )
+    def test_grids_must_increase(self, rng, grids, svd_calls):
+        # the tie rule, toward the sparser pair, assumes increasing axes
+        z = rng.normal(size=(7, 6))
+        with pytest.raises(InputError, match="strictly increasing"):
+            grid_search_2d(z, criterion="is", **grids)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("grids", [{"grid_u": []}, {"grid_v": []}])
+    def test_empty_grid_rejected(self, rng, grids):
+        with pytest.raises(InputError, match="at least one value"):
+            grid_search_2d(rng.normal(size=(7, 6)), **grids)
+
     def test_default_grids_span_ranges(self, rng):
         z = rng.normal(size=(9, 7))
         result = grid_search_2d(z, criterion="is")
@@ -464,6 +485,16 @@ class TestWeightPaths:
         assert path.u_path.shape == (grid.size, 8)
         assert path.v_path.shape == (grid.size, 6)
         assert np.all((0.0 <= path.zero_fraction) & (path.zero_fraction <= 1.0))
+
+    @pytest.mark.parametrize(
+        "grid", [[0.9, 0.5, 0.5, 0.7], [0.5, 0.5], [1.0, 0.6]]
+    )
+    def test_grid_must_increase(self, rng, grid, svd_calls):
+        # a grid that folds back would draw a path that folds back
+        z = rng.normal(size=(8, 6))
+        with pytest.raises(InputError, match="strictly increasing"):
+            weight_paths(z, grid=grid)
+        assert svd_calls == []
 
     def test_single_step_threshold_sweep_monotone(self, rng):
         # for one fixed input vector, tightening the budget can only
