@@ -84,9 +84,9 @@ def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     are incompatible with a unit vector, above ``sqrt(len(x))`` the
     bound can never bind.
 
-    This is the one-row case of a routine that projects a stack of rows,
-    each under its own budget, with one sort along the rows; the rank-1
-    fits of a cross-validation sweep project all their rows that way.
+    The rank-1 fits project a stack of rows, each under its own budget,
+    with one sort along the rows; this function runs that routine on a
+    stack of one row.
 
     Parameters
     ----------
@@ -108,20 +108,19 @@ def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
         raise DegenerateInputError("cannot project an empty vector")
     if not (1.0 <= c <= math.sqrt(n) + 1e-12):
         raise InputError(f"L1 budget {c} outside [1, sqrt({n})]")
-    return _l1_project_rows(x, c)
+    return _l1_project_rows(x[None], np.array([c], dtype=float))[0]
 
 
-def _l1_project_rows(x: np.ndarray, c) -> np.ndarray:
-    """``l1_constrained_unit_vector`` of a vector, or of each row of a stack.
+def _l1_project_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``l1_constrained_unit_vector`` of each row of a stack.
 
     ``x`` has shape (B, n) and ``c`` shape (B,): one budget per row, each
     in ``[1, sqrt(n)]`` or infinite; an infinite budget never binds, so
     its row is only normalized. Every row's result depends on that row and
-    its budget alone. A single vector (``x`` of shape (n,), ``c`` a float)
-    runs the same code with numpy scalars in place of the per-row arrays.
+    its budget alone.
     """
     # one dot product per row, the way np.linalg.norm takes it
-    norm = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0, 0][()]
+    norm = np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
     if np.count_nonzero((norm > 0.0) & (norm < np.inf)) < norm.size:
         if not np.isfinite(x).all():
             raise InputError("vector contains non-finite entries")
@@ -135,7 +134,7 @@ def _l1_project_rows(x: np.ndarray, c) -> np.ndarray:
     binding = abs_x.sum(axis=-1) > c * norm
     n_binding = np.count_nonzero(binding)
     if n_binding < binding.size:
-        out = x / norm[..., None]
+        out = x / norm[:, None]
         if n_binding:
             # a stack with some binding rows: project just those
             rows = np.flatnonzero(binding)
@@ -144,36 +143,36 @@ def _l1_project_rows(x: np.ndarray, c) -> np.ndarray:
 
     n = x.shape[-1]
     # |x| in decreasing order, padded with the 0 that follows the last entry
-    a = np.zeros(x.shape[:-1] + (n + 1,))
-    a[..., :n] = np.sort(abs_x, axis=-1)[..., ::-1]
-    top = a[..., :1]
+    a = np.zeros((x.shape[0], n + 1))
+    a[:, :n] = np.sort(abs_x, axis=-1)[:, ::-1]
+    top = a[:, :1]
     # L1 and L2 norms of the top k entries shrunk by the next one, a[k],
     # for k = 1..n; summed from the nonnegative gaps between neighbours so
     # that no large cumulative sums cancel
-    gaps = a[..., :n] - a[..., 1:]
+    gaps = a[:, :n] - a[:, 1:]
     weighted = np.arange(1, n + 1) * gaps
     l1 = np.zeros(a.shape)
-    weighted.cumsum(axis=-1, out=l1[..., 1:])
-    l2 = np.sqrt((gaps * (2.0 * l1[..., :n] + weighted)).cumsum(axis=-1))
-    l1 = l1[..., 1:]
+    weighted.cumsum(axis=-1, out=l1[:, 1:])
+    l2 = np.sqrt((gaps * (2.0 * l1[:, :n] + weighted)).cumsum(axis=-1))
+    l1 = l1[:, 1:]
     # the gaps, and so l1, are exactly 0 up to the entries tied at max|x|
     moved = l1 > 0.0
     n_tied = moved.argmax(axis=-1) + 1
     # The ratio rises with k, so the first k >= n_tied reaching c is the
     # survivor count; a row the gap sums put just inside the budget keeps
     # all n entries.
-    reach = (l1 >= np.asarray(c)[..., None] * l2) & moved
-    reach[..., -1] = True
+    reach = (l1 >= c[:, None] * l2) & moved
+    reach[:, -1] = True
     k = reach.argmax(axis=-1) + 1
     # With depths d = max|x| - |x| of the survivors, sigma = max|x| -
     # threshold solves sum(sigma - d) = c * norm(sigma - d); depths stay
     # exact for near-ties at the top, where the threshold itself would
     # round onto one of them. The survivor sums are running sums read at
     # k, so a row's result does not depend on the other rows of a stack.
-    k_max = k.max() if k.ndim else k
-    depth = top - a[..., : k_max + 1]
-    mean = _row_pick(depth[..., :k_max].cumsum(axis=-1), k - 1) / k
-    squares = ((depth[..., :k_max] - mean[..., None]) ** 2).cumsum(axis=-1)
+    k_max = k.max()
+    depth = top - a[:, : k_max + 1]
+    mean = _row_pick(depth[:, :k_max].cumsum(axis=-1), k - 1) / k
+    squares = ((depth[:, :k_max] - mean[:, None]) ** 2).cumsum(axis=-1)
     spread = k * _row_pick(squares, k - 1)
     slack = k - c * c
     # sigma is capped at max|x| - a[k] so that rounding turns on no entry
@@ -185,22 +184,19 @@ def _l1_project_rows(x: np.ndarray, c) -> np.ndarray:
     if np.count_nonzero(solved) < solved.size:
         spread, slack = np.where(solved, spread, np.inf), np.where(solved, slack, 1.0)
     sigma = np.minimum(cap, mean + c / k * np.sqrt(spread / slack))
-    u = np.copysign(np.maximum(sigma[..., None] - (top - abs_x), 0.0), x)
-    u /= np.sqrt(np.matmul(u[..., None, :], u[..., :, None]))[..., 0]
+    u = np.copysign(np.maximum(sigma[:, None] - (top - abs_x), 0.0), x)
+    u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0]
     # c = 1, or c below sqrt(#ties at the top), admits no threshold: the
     # answer is 1-sparse at the first maximal entry
     one_sparse = (c == 1.0) | (c < np.sqrt(n_tied))
     if np.count_nonzero(one_sparse):
-        first = abs_x.argmax(axis=-1)[..., None]
+        first = abs_x.argmax(axis=-1)[:, None]
         e = np.zeros_like(u)
         np.put_along_axis(e, first, np.sign(np.take_along_axis(x, first, axis=-1)), axis=-1)
-        u = np.where(np.asarray(one_sparse)[..., None], e, u)
+        u = np.where(one_sparse[:, None], e, u)
     return u
 
 
-def _row_pick(x: np.ndarray, index) -> np.ndarray:
-    """``x[..., index]`` taken row by row: entry ``index[i]`` of row ``i``
-    of a stack, or entry ``index`` of a single vector."""
-    if np.ndim(index) == 0:
-        return x[..., index]
+def _row_pick(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entry ``index[i]`` of row ``i``, for every row of a stack."""
     return x[np.arange(len(index)), index]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ca import ContingencyTable, correspondence_matrix, standardized_residuals
 from .errors import DegenerateInputError, InputError, SparseCAError
-from .linalg import _l1_project_rows, _row_pick, full_svd, l1_constrained_unit_vector
+from .linalg import _l1_project_rows, _row_pick, full_svd
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
@@ -156,7 +156,8 @@ def pmd_rank1(
     alternates ``u <- project(z v)``, ``v <- project(z' u)`` until the
     column weights move less than ``tol`` in the max norm. With both
     budgets at their upper bounds the projections are plain
-    normalizations and the result is the leading singular triplet.
+    normalizations and the result is the leading singular triplet. The
+    fit runs as a stack of one member in the loop the searches share.
 
     Parameters
     ----------
@@ -181,12 +182,8 @@ def pmd_rank1(
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
-    budget_u, budget_v = constraint.budgets(z.shape)
-    start = _warm_start(z, start)
-    fit = _rank1_stack(
-        z, np.inf if budget_u is None else budget_u, budget_v, start, max_iter, tol
-    )
-    return _sparse_factor(fit, constraint)
+    inputs = _stack_inputs([constraint], z.shape, _warm_start(z, start))
+    return _sparse_factor(_rank1_stack(z, *inputs, max_iter, tol), constraint, 0)
 
 
 def _warm_start(z: np.ndarray, start) -> np.ndarray:
@@ -207,11 +204,8 @@ def _warm_start(z: np.ndarray, start) -> np.ndarray:
     return start
 
 
-def _sparse_factor(
-    fit: "_StackFit", constraint: SparsityConstraint, member=()
-) -> SparseFactor:
-    """The ``SparseFactor`` of one member of a stacked fit, or of a single
-    fit with the default ``member=()``."""
+def _sparse_factor(fit: "_StackFit", constraint: SparsityConstraint, member: int) -> SparseFactor:
+    """The ``SparseFactor`` of one member of a stacked fit."""
     u, v, alpha = fit.u[member], fit.v[member], float(fit.alpha[member])
     return SparseFactor(
         u=u,
@@ -234,10 +228,16 @@ def _budget_arrays(constraints, shape: tuple) -> tuple:
     return budget_u, np.array([bv for _, bv in budgets])
 
 
+def _stack_inputs(constraints, shape: tuple, start: np.ndarray) -> tuple:
+    """Row budgets, column budgets and warm starts of a stack over one
+    matrix of ``shape``, with one member per constraint, each starting
+    from ``start``."""
+    return (*_budget_arrays(constraints, shape), np.tile(start, (len(constraints), 1)))
+
+
 class _StackFit(NamedTuple):
-    """Rank-1 fits of ``_rank1_stack``: per-member values are scalars for
-    a single fit and arrays with one row per member for a stack; ``change``
-    is each member's last column-weight change."""
+    """Rank-1 fits of ``_rank1_stack``, with one entry per member;
+    ``change`` is each member's last column-weight change."""
 
     u: np.ndarray
     v: np.ndarray
@@ -247,23 +247,15 @@ class _StackFit(NamedTuple):
     change: np.ndarray
 
 
-def _project(x: np.ndarray, budgets) -> np.ndarray:
-    """L1/L2 projection of a vector, or of each row of a stack; a single
-    fit projects through the public 1-d function."""
-    if x.ndim == 1:
-        return l1_constrained_unit_vector(x, budgets)
-    return _l1_project_rows(x, budgets)
-
-
 def _rank1_stack(
     z: np.ndarray,
-    budget_u,
-    budget_v,
+    budget_u: np.ndarray,
+    budget_v: np.ndarray,
     start: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-7,
 ) -> _StackFit:
-    """The alternating loop of ``pmd_rank1``, for one fit or a stack of them.
+    """The alternating loop of ``pmd_rank1``, for a stack of fits.
 
     A stack of B members has ``budget_u``, ``budget_v`` of shape (B,) and
     ``start`` of shape (B, m); ``z`` is a stack of shape (B, n, m), or one
@@ -279,9 +271,9 @@ def _rank1_stack(
     Cross-validation fits the folds and grid cells of a sweep as a stack
     of matrices; ``weight_paths``, the grid searches and
     ``nnz_target_search`` fit their budgets of one matrix as a
-    shared-matrix stack; ``pmd_rank1`` passes one matrix and scalar
-    budgets, and gets scalars back. Each member that stops at
-    ``max_iter`` gets a warning; ``_rank1_fits`` is the loop without them.
+    shared-matrix stack; ``pmd_rank1`` is a stack of one member. Each
+    member that stops at ``max_iter`` gets a warning; ``_rank1_fits`` is
+    the loop without them.
     """
     fit = _rank1_fits(z, budget_u, budget_v, start, max_iter, tol)
     _warn_unconverged(fit, stacklevel=3)
@@ -299,14 +291,14 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
     # the raw leading singular vector can exceed the L1 budget, so warm
     # start from its feasible projection; with an inactive budget this is
     # the singular vector itself
-    v = _project(start, budget_v)
+    v = _l1_project_rows(start, budget_v)
     # members still iterating; a stack is compacted when some stop, and
     # each batch that stops is kept as (members, u, v, last change, step)
-    live = np.arange(np.size(budget_v))
+    live = np.arange(budget_v.size)
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
-    free_rows = np.count_nonzero(np.isinf(bu)) == np.size(bu)
+    free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
     stopped = []
-    objective = -np.inf
+    objective = np.full(live.size, -np.inf)
     for step in range(1, max_iter + 1):
         zv = np.matmul(zs, v[..., None])[..., 0]
         if free_rows:
@@ -315,13 +307,13 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
                 raise DegenerateInputError("row weights collapsed to zero")
             u = zv / norm[..., None]
         else:
-            u = _project(zv, bu)
+            u = _l1_project_rows(zv, bu)
         after_u = (u * zv).sum(axis=-1)
         # each half-step maximizes the bilinear form over a set that
         # contains the previous iterate
         _check_ascent("row", objective, after_u)
         zu = np.matmul(zts, u[..., None])[..., 0]
-        v_new = _project(zu, bv)
+        v_new = _l1_project_rows(zu, bv)
         objective = (zu * v_new).sum(axis=-1)
         _check_ascent("column", after_u, objective)
         change = np.abs(v_new - v).max(axis=-1)
@@ -343,7 +335,7 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
 
     if len(stopped) == 1:
         _, u, v, change, step = stopped[0]
-        n_iter = np.full(np.shape(change), step)
+        n_iter = np.full(change.shape, step)
     else:
         order = np.argsort(np.concatenate([batch[0] for batch in stopped]))
         u, v, change = (
@@ -354,7 +346,7 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
     flip = _row_pick(v, np.abs(v).argmax(axis=-1)) < 0
     if np.count_nonzero(flip):
         u[flip], v[flip] = -u[flip], -v[flip]
-    alpha = np.matmul(np.matmul(u[..., None, :], z), v[..., :, None])[..., 0, 0][()]
+    alpha = np.matmul(np.matmul(u[:, None, :], z), v[:, :, None])[:, 0, 0]
     if np.count_nonzero(alpha < 0.0):
         raise SparseCAError(
             f"rank-1 fit ended with negative u'Zv = {alpha[alpha < 0.0][0]:.9g}"
@@ -369,26 +361,25 @@ def _warn_unconverged(fit: _StackFit, stacklevel: int, count=None) -> None:
     ``stacklevel`` is counted from the caller, as ``warnings.warn``
     counts it from its own caller.
     """
-    n_iter, change = np.atleast_1d(fit.n_iter), np.atleast_1d(fit.change)
-    for i in np.flatnonzero(~np.atleast_1d(fit.converged)[:count]):
+    for i in np.flatnonzero(~fit.converged[:count]):
         warnings.warn(
-            f"rank-1 fit did not converge in {n_iter[i]} iterations "
-            f"(last column-weight change {change[i]:.2e})",
+            f"rank-1 fit did not converge in {fit.n_iter[i]} iterations "
+            f"(last column-weight change {fit.change[i]:.2e})",
             stacklevel=stacklevel + 1,
         )
 
 
-def _check_ascent(side: str, before, after) -> None:
+def _check_ascent(side: str, before: np.ndarray, after: np.ndarray) -> None:
     """Raise if a half-step lowered any member's objective beyond roundoff."""
     # the allowance is at least 1e-7, so smaller drops need no closer look
     if not np.count_nonzero(before - after > 1e-7):
         return
-    dropped = np.atleast_1d(after < before - 1e-7 * np.maximum(1.0, np.abs(after)))
+    dropped = after < before - 1e-7 * np.maximum(1.0, np.abs(after))
     if np.count_nonzero(dropped):
         i = int(dropped.argmax())
         raise SparseCAError(
             f"rank-1 ascent broken: {side} update lowered u'Zv from "
-            f"{np.atleast_1d(before)[i]:.9g} to {np.atleast_1d(after)[i]:.9g}"
+            f"{before[i]:.9g} to {after[i]:.9g}"
         )
 
 
@@ -531,12 +522,11 @@ def nnz_target_search(
         constraints = [
             SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
         ]
-    budget_u, budget_v = _budget_arrays(constraints, z.shape)
+    budget_u, budget_v, starts = _stack_inputs(constraints, z.shape, start)
     best = None
     for lo in range(0, grid.size, NNZ_CHUNK):
         chunk = slice(lo, lo + NNZ_CHUNK)
-        members = budget_v[chunk].size
-        fit = _rank1_fits(z, budget_u[chunk], budget_v[chunk], np.tile(start, (members, 1)))
+        fit = _rank1_fits(z, budget_u[chunk], budget_v[chunk], starts[chunk])
         nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
         hits = np.flatnonzero(nnz >= target)
         if hits.size:

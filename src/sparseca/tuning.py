@@ -25,6 +25,7 @@ its own fit would. The stack is cut into chunks of at most
 ``CV_STACK_ENTRIES`` (2**17) matrix entries.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .sparse import (
     _budget_arrays,
     _rank1_stack,
     _sparse_factor,
+    _stack_inputs,
     explained_variance,
     ppmd_deflate,
 )
@@ -356,23 +358,14 @@ def _increasing_grid(grid) -> np.ndarray:
     return grid
 
 
-def _pick_optimum(cells, maximize):
-    """Index of the best cell, first (sparser) winner on ties."""
-    best = None
-    for idx, value in enumerate(cells):
-        if np.isnan(value):
-            continue
-        if best is None:
-            best = idx
-            continue
-        if maximize:
-            if value > cells[best]:
-                best = idx
-        elif value < cells[best]:
-            best = idx
-    if best is None:
+def _pick_optimum(values: np.ndarray, maximize: bool) -> int:
+    """Index of the best of ``values``, skipping NaN; the first (sparser)
+    winner on ties."""
+    if np.isnan(values).all():
         raise InputError("criterion is undefined on the whole grid")
-    return best
+    best = np.nanmax(values) if maximize else np.nanmin(values)
+    # nanargmax would return a NaN cell ahead of a best value of -inf
+    return int(np.flatnonzero(values == best)[0])
 
 
 def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed, cv_repeats):
@@ -401,11 +394,7 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
 
-    stack = _rank1_stack(
-        z_work,
-        *_budget_arrays(constraints, z_work.shape),
-        np.tile(start, (len(constraints), 1)),
-    )
+    stack = _rank1_stack(z_work, *_stack_inputs(constraints, z_work.shape, start))
     results = []
     for i, constraint in enumerate(constraints):
         factor = _sparse_factor(stack, constraint, i)
@@ -419,6 +408,37 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
             value = float(cv_values[i])
         results.append((value, factor.nnz_u, factor.nnz_v, fit))
     return results
+
+
+def _grid_search(z, axes, constraint, criterion, prior_factors, orientation, seed, cv_repeats):
+    """Fit and score one cell ``constraint(*cell)`` per cell of the grid
+    spanned by ``axes``, and pick the optimum.
+
+    Cells run in row-major order, and a tie goes to the first of them,
+    which on increasing axes is the lexicographically sparser one.
+    """
+    constraints = [constraint(*cell) for cell in itertools.product(*axes)]
+    results = _evaluate_cells(
+        z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
+    )
+    shape = tuple(axis.size for axis in axes)
+    values, nnz_u, nnz_v, fit = (np.array(column).reshape(shape) for column in zip(*results))
+    best = np.unravel_index(_pick_optimum(values.ravel(), criterion == "is"), shape)
+    optimum = tuple(float(axis[i]) for axis, i in zip(axes, best))
+    return TuningResult(
+        criterion=criterion,
+        optimum=optimum if len(axes) == 2 else optimum[0],
+        optimum_nnz=(int(nnz_u[best]), int(nnz_v[best])),
+        grid=TuningGrid(
+            criterion=criterion,
+            axis1=axes[0],
+            axis2=axes[1] if len(axes) == 2 else None,
+            values=values,
+            nnz_u=nnz_u,
+            nnz_v=nnz_v,
+            fit=fit,
+        ),
+    )
 
 
 def grid_search_1d(
@@ -441,30 +461,9 @@ def grid_search_1d(
     z = np.asarray(z, dtype=float)
     if grid is None:
         grid = default_coupled_grid(z.shape)
-    grid = _increasing_grid(grid)
-    constraints = [SparsityConstraint.coupled(value) for value in grid]
-    results = _evaluate_cells(
-        z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
-    )
-    values = np.array([r[0] for r in results])
-    nnz_u = np.array([r[1] for r in results])
-    nnz_v = np.array([r[2] for r in results])
-    fit = np.array([r[3] for r in results])
-    best = _pick_optimum(values, maximize=(criterion == "is"))
-    tuning_grid = TuningGrid(
-        criterion=criterion,
-        axis1=grid,
-        axis2=None,
-        values=values,
-        nnz_u=nnz_u,
-        nnz_v=nnz_v,
-        fit=fit,
-    )
-    return TuningResult(
-        criterion=criterion,
-        optimum=float(grid[best]),
-        optimum_nnz=(int(nnz_u[best]), int(nnz_v[best])),
-        grid=tuning_grid,
+    return _grid_search(
+        z, (_increasing_grid(grid),), SparsityConstraint.coupled,
+        criterion, prior_factors, orientation, seed, cv_repeats,
     )
 
 
@@ -494,36 +493,9 @@ def grid_search_2d(
         grid_u = default_absolute_grid(z.shape[0])
     if grid_v is None:
         grid_v = default_absolute_grid(z.shape[1])
-    grid_u, grid_v = _increasing_grid(grid_u), _increasing_grid(grid_v)
-    constraints = [
-        SparsityConstraint.absolute(su, sv) for su in grid_u for sv in grid_v
-    ]
-    results = _evaluate_cells(
-        z, constraints, prior_factors, criterion, orientation, seed, cv_repeats
-    )
-    shape = (grid_u.size, grid_v.size)
-    values = np.array([r[0] for r in results]).reshape(shape)
-    nnz_u = np.array([r[1] for r in results]).reshape(shape)
-    nnz_v = np.array([r[2] for r in results]).reshape(shape)
-    fit = np.array([r[3] for r in results]).reshape(shape)
-    best = _pick_optimum(
-        [r[0] for r in results], maximize=(criterion == "is")
-    )
-    iu, iv = divmod(best, grid_v.size)
-    tuning_grid = TuningGrid(
-        criterion=criterion,
-        axis1=grid_u,
-        axis2=grid_v,
-        values=values,
-        nnz_u=nnz_u,
-        nnz_v=nnz_v,
-        fit=fit,
-    )
-    return TuningResult(
-        criterion=criterion,
-        optimum=(float(grid_u[iu]), float(grid_v[iv])),
-        optimum_nnz=(int(nnz_u[iu, iv]), int(nnz_v[iu, iv])),
-        grid=tuning_grid,
+    return _grid_search(
+        z, (_increasing_grid(grid_u), _increasing_grid(grid_v)), SparsityConstraint.absolute,
+        criterion, prior_factors, orientation, seed, cv_repeats,
     )
 
 
@@ -542,9 +514,7 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
     z_work = _deflate_through(z, prior_factors)
     start = full_svd(z_work).V[:, 0]
     constraints = [SparsityConstraint.coupled(value) for value in grid]
-    stack = _rank1_stack(
-        z_work, *_budget_arrays(constraints, z_work.shape), np.tile(start, (grid.size, 1))
-    )
+    stack = _rank1_stack(z_work, *_stack_inputs(constraints, z_work.shape, start))
     u_path, v_path = stack.u, stack.v
     zeros = (u_path == 0).sum(axis=1) + (v_path == 0).sum(axis=1)
     zero_fraction = zeros / (z.shape[0] + z.shape[1])

@@ -129,7 +129,8 @@ class TestScaCommand:
 
     def test_broken_invariant_is_runtime_error(self, table_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            "sparseca.sparse.l1_constrained_unit_vector", lambda x, c: -x / np.linalg.norm(x)
+            "sparseca.sparse._l1_project_rows",
+            lambda x, c: -x / np.linalg.norm(x, axis=-1, keepdims=True),
         )
         code = main(["sca", str(table_csv), "--sumabs", "0.6", "--out-dir", str(tmp_path / "o")])
         assert code == 1

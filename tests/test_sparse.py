@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+import sparseca.sparse
 from sparseca.ca import ContingencyTable, fit_ca
 from sparseca.errors import DegenerateInputError, InputError, SparseCAError
-from sparseca.linalg import full_svd, l1_constrained_unit_vector
+from sparseca.linalg import full_svd
 from sparseca.sparse import (
     SparsityConstraint,
     _rank1_stack,
@@ -175,14 +176,14 @@ class TestPmdRank1:
     def test_broken_ascent_raises(self, rng, monkeypatch, call, side):
         # projection calls run: warm start, then row and column per iteration;
         # negating one result lowers the objective on that half-step
-        real = l1_constrained_unit_vector
+        real = sparseca.sparse._l1_project_rows
         calls = itertools.count()
 
         def worse(x, c):
             u = real(x, c)
             return -u if next(calls) == call else u
 
-        monkeypatch.setattr("sparseca.sparse.l1_constrained_unit_vector", worse)
+        monkeypatch.setattr("sparseca.sparse._l1_project_rows", worse)
         z = rng.normal(size=(8, 6))
         with pytest.raises(SparseCAError, match=f"ascent broken: {side} update"):
             pmd_rank1(z, SparsityConstraint.absolute(2.0, 2.0))
@@ -191,7 +192,8 @@ class TestPmdRank1:
         # a sign-flipping normalization holds the singular-vector start
         # fixed, so no half-step drops and only the final check can fire
         monkeypatch.setattr(
-            "sparseca.sparse.l1_constrained_unit_vector", lambda x, c: -x / np.linalg.norm(x)
+            "sparseca.sparse._l1_project_rows",
+            lambda x, c: -x / np.linalg.norm(x, axis=-1, keepdims=True),
         )
         with pytest.raises(SparseCAError, match="negative u'Zv"):
             pmd_rank1(rng.normal(size=(8, 6)), SparsityConstraint.absolute(2.0, 2.0))

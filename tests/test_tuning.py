@@ -11,6 +11,7 @@ from sparseca.sparse import (
 )
 from sparseca.tuning import (
     _deflate_through,
+    _pick_optimum,
     bic_criterion,
     cv_error,
     default_coupled_grid,
@@ -328,6 +329,79 @@ class TestGridSearch1d:
     def test_default_grid_rejects_bad_step(self, step):
         with pytest.raises(InputError, match="step"):
             default_coupled_grid((10, 9), step=step)
+
+
+def loop_pick(values, maximize):
+    """Reference optimum: the first non-NaN value beaten by no later one."""
+    best = None
+    for i, value in enumerate(values):
+        if np.isnan(value):
+            continue
+        if best is None or (value > values[best] if maximize else value < values[best]):
+            best = i
+    return best
+
+
+class TestPickOptimum:
+    @pytest.mark.parametrize(
+        "values, maximize, expected",
+        [
+            ([np.nan, -np.inf], True, 1),
+            ([np.nan, np.inf], False, 1),
+            ([1.0, 3.0, 3.0, 2.0], True, 1),
+            ([2.0, 0.5, 0.5, 1.0], False, 1),
+            ([0.0, -0.0], True, 0),
+            ([-0.0, 0.0], False, 0),
+            ([np.nan, 2.0, np.nan, 2.0], True, 1),
+            ([np.inf, np.inf, 1.0], True, 0),
+        ],
+    )
+    def test_first_best_value(self, values, maximize, expected):
+        assert _pick_optimum(np.array(values), maximize) == expected
+        assert loop_pick(values, maximize) == expected
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_all_nan_rejected(self, maximize):
+        with pytest.raises(InputError, match="undefined on the whole grid"):
+            _pick_optimum(np.full(3, np.nan), maximize)
+
+    def test_matches_the_loop_on_fuzzed_values(self):
+        rng = np.random.default_rng(11)
+        pool = np.array([np.nan, -np.inf, np.inf, -1.0, 0.0, -0.0, 1.0, 2.0])
+        for _ in range(2000):
+            values = rng.choice(pool, size=rng.integers(1, 7))
+            for maximize in (True, False):
+                if np.isnan(values).all():
+                    with pytest.raises(InputError):
+                        _pick_optimum(values, maximize)
+                else:
+                    assert _pick_optimum(values, maximize) == loop_pick(values, maximize)
+
+    def test_searches_pick_the_first_cell_in_row_major_order(self, monkeypatch):
+        # one scripted value per cell; the 2-D grid ties at cells (0, 2),
+        # (1, 0) and (1, 2), and the 1-D one has a NaN cell ahead of -inf
+        scripted = iter([
+            [np.nan, 5.0, 1.0, 1.0, 3.0, 1.0],
+            [np.nan, -np.inf],
+        ])
+
+        def evaluate(z, constraints, *args):
+            values = next(scripted)
+            assert len(values) == len(constraints)
+            return [(value, i, 10 + i, 0.5) for i, value in enumerate(values)]
+
+        monkeypatch.setattr("sparseca.tuning._evaluate_cells", evaluate)
+        z = np.zeros((4, 9))
+        result = grid_search_2d(
+            z, grid_u=[1.0, 1.5], grid_v=[1.0, 2.0, 3.0], criterion="bic"
+        )
+        assert result.optimum == (1.0, 3.0)
+        assert result.optimum_nnz == (2, 12)
+        assert result.grid.values.shape == (2, 3)
+        result = grid_search_1d(z, grid=[0.6, 0.9], criterion="is")
+        assert result.optimum == 0.9
+        assert result.optimum_nnz == (1, 11)
+        assert result.grid.axis2 is None
 
 
 @pytest.mark.filterwarnings("ignore:rank-1 fit did not converge")
