@@ -1,4 +1,5 @@
-"""Dense SVD and the L1-constrained projections used by the penalized fits."""
+"""Dense SVD, leading singular vectors from the Gram matrix, and the L1-constrained
+projections used by the penalized fits."""
 
 import math
 from typing import NamedTuple
@@ -27,40 +28,86 @@ class SvdResult(NamedTuple):
 
 
 def full_svd(x: np.ndarray) -> SvdResult:
-    """Thin SVD with a fixed sign convention, of one matrix or a stack.
+    """Thin SVD of one matrix, with a fixed sign convention.
 
     Each right singular vector is flipped, together with its left partner,
     so that its largest-magnitude entry is positive (first such entry on
     ties). This makes repeated factorizations of equal matrices identical.
-    A stack of shape ``(..., n_rows, n_cols)`` is factorized member by
-    member in one call, with the sign rule applied to each; every member
-    gets the same result as its own call. Cross-validation factorizes all
-    the refilled matrices of a sweep this way.
+    Standard CA takes every component from here; a search that needs only
+    the leading vectors takes them from ``_leading_svd``.
 
     Parameters
     ----------
-    x : ndarray of shape (n_rows, n_cols) or (..., n_rows, n_cols)
-        Real matrix, or stack of matrices, with finite entries.
+    x : ndarray of shape (n_rows, n_cols)
+        Real matrix with finite entries.
 
     Returns
     -------
     SvdResult
-        ``U``, ``s``, ``V`` with ``k = min(n_rows, n_cols)`` components,
-        carrying the stack's leading axes in front.
+        ``U``, ``s``, ``V`` with ``k = min(n_rows, n_cols)`` components.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InputError(f"expected a 2-d array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("matrix contains non-finite entries")
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    flip = _column_signs(vt.T)
+    return SvdResult(u * flip, s, vt.T * flip)
+
+
+def _leading_svd(x: np.ndarray, k: int = 1) -> tuple:
+    """Singular values and the first ``k`` right singular vectors of a
+    matrix or of each member of a stack, from the Gram matrix of the
+    shorter side.
+
+    ``eigh`` of ``x'x`` (at most as many columns as rows) gives the right
+    vectors directly; ``eigh`` of ``xx'`` (fewer rows) gives left vectors,
+    which ``x'`` maps to right ones. Squaring costs accuracy in the small
+    singular values, not in leading vectors a gap separates from the
+    rest, so on such vectors this agrees with ``full_svd(x).V[:, :k]``,
+    whose sign rule it applies, to roundoff. Every stack member gets the
+    result its own call would give. A zero matrix, or a zero member, gets
+    finite output without a warning: its singular values are 0, and the
+    fits reject it themselves.
+
+    Returns
+    -------
+    s : ndarray of shape (..., min(n_rows, n_cols))
+        All singular values, in decreasing order.
+    V : ndarray of shape (..., n_cols, k)
+        The leading right singular vectors, one per column.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise InputError(f"expected a 2-d array or a stack of them, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    # argmax over |v| picks the first maximal entry, so ties break low.
-    anchor = np.abs(vt).argmax(axis=-1)
-    rows = vt.reshape(-1, vt.shape[-1])
-    flip = np.sign(_row_pick(rows, anchor.ravel())).reshape(anchor.shape)
-    flip[flip == 0.0] = 1.0
-    flip = flip[..., None, :]
-    return SvdResult(u * flip, s, np.swapaxes(vt, -1, -2) * flip)
+    xt = np.swapaxes(x, -1, -2)
+    tall = x.shape[-1] <= x.shape[-2]
+    with np.errstate(over="ignore"):
+        gram = np.matmul(xt, x) if tall else np.matmul(x, xt)
+    if not np.all(np.isfinite(gram)):
+        raise InputError("matrix norm overflows")
+    evals, evecs = np.linalg.eigh(gram)
+    # eigh sorts the eigenvalues in increasing order
+    v = evecs[..., ::-1][..., :k]
+    if not tall:
+        v = np.matmul(xt, v)
+        norm = np.sqrt((v * v).sum(axis=-2, keepdims=True))
+        norm[norm == 0.0] = 1.0
+        v /= norm
+    s = np.sqrt(np.maximum(evals[..., ::-1], 0.0))
+    return s, v * _column_signs(v)
+
+
+def _column_signs(v: np.ndarray) -> np.ndarray:
+    """The sign, +1 or -1, of each column's first largest-magnitude entry,
+    shaped ``(..., 1, k)`` to multiply ``v`` of shape ``(..., n, k)``."""
+    anchor = np.abs(v).argmax(axis=-2)[..., None, :]
+    sign = np.sign(np.take_along_axis(v, anchor, axis=-2))
+    sign[sign == 0.0] = 1.0
+    return sign
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ca import ContingencyTable, correspondence_matrix, standardized_residuals
 from .errors import DegenerateInputError, InputError, SparseCAError
-from .linalg import _l1_project_rows, _row_pick, full_svd
+from .linalg import _l1_project_rows, _leading_svd, _row_pick
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
@@ -168,10 +168,11 @@ def pmd_rank1(
     max_iter, tol : int, float
         Iteration cap and convergence threshold on the column weights.
     start : ndarray of shape (n_cols,), optional
-        The leading right singular vector of ``z``, ``full_svd(z).V[:, 0]``.
-        A search that fits many budgets to one matrix takes that SVD once
-        and passes the vector to every fit; when omitted, the fit takes
-        the SVD itself. The fit starts from its feasible projection.
+        The leading right singular vector of ``z``, as ``full_svd(z).V[:, 0]``
+        gives it. A search that fits many budgets to one matrix computes it
+        once and passes it to every fit; when omitted, the fit computes it
+        itself from the Gram matrix of ``z`` (``linalg._leading_svd``).
+        The fit starts from its feasible projection.
 
     Returns
     -------
@@ -188,9 +189,9 @@ def pmd_rank1(
 
 def _warm_start(z: np.ndarray, start) -> np.ndarray:
     """The leading right singular vector of ``z``: the one given, checked,
-    or else taken from an SVD of ``z``."""
+    or else computed from the Gram matrix of ``z``."""
     if start is None:
-        return full_svd(z).V[:, 0]
+        return _leading_svd(z)[1][:, 0]
     start = np.asarray(start, dtype=float)
     if start.shape != (z.shape[1],):
         raise InputError(
@@ -497,8 +498,9 @@ def nnz_target_search(
     reaching ``target`` nonzeros on ``axis``. If no grid value reaches
     it, the closest achieving budget is returned with
     ``target_met=False`` and a warning. Every fit warm-starts from
-    ``start``, the leading right singular vector of ``z``; it is taken
-    from one SVD of ``z`` when the caller does not supply it.
+    ``start``, the leading right singular vector of ``z`` (as
+    ``pmd_rank1`` takes it); it is computed once from the Gram matrix of
+    ``z`` when the caller does not supply it.
 
     The walk fits ``NNZ_CHUNK`` (8) consecutive budgets at a time, as one
     stack over the one matrix ``z``, and stops after the first chunk that
@@ -506,6 +508,13 @@ def nnz_target_search(
     fits up to the hit warn when they do not converge, as a walk of
     single fits would.
     """
+    return _nnz_walk(z, target, axis, start, stacklevel=2)[0]
+
+
+def _nnz_walk(z, target, axis, start, stacklevel) -> tuple:
+    """``nnz_target_search``, and the ``SparseFactor`` fitted at the budget
+    it returns. ``stacklevel`` is counted from the caller, as in
+    ``_warn_unconverged``."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
@@ -530,17 +539,20 @@ def nnz_target_search(
         nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
         hits = np.flatnonzero(nnz >= target)
         if hits.size:
-            _warn_unconverged(fit, stacklevel=2, count=hits[0] + 1)
-            return NnzSearchResult(float(grid[lo + hits[0]]), int(nnz[hits[0]]), True)
-        _warn_unconverged(fit, stacklevel=2)
+            i = hits[0]
+            _warn_unconverged(fit, stacklevel + 1, count=i + 1)
+            found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), True)
+            return found, _sparse_factor(fit, constraints[lo + i], i)
+        _warn_unconverged(fit, stacklevel + 1)
         # the first of the chunk's largest counts, as a walk of single fits finds it
         i = int(nnz.argmax())
-        if best is None or nnz[i] > best.nnz:
-            best = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), False)
+        if best is None or nnz[i] > best[0].nnz:
+            found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), False)
+            best = found, _sparse_factor(fit, constraints[lo + i], i)
     warnings.warn(
         f"no grid budget reaches {target} nonzero {axis} weights; "
-        f"closest is {best.nnz} at {best.value:.6g}",
-        stacklevel=2,
+        f"closest is {best[0].nnz} at {best[0].value:.6g}",
+        stacklevel=stacklevel + 1,
     )
     return best
 
@@ -642,15 +654,21 @@ def explained_variance(z: np.ndarray, weight_columns: np.ndarray) -> float:
 
 def _resolve_constraint(
     z: np.ndarray, constraint: SparsityConstraint, variant: str, start: np.ndarray
-) -> SparsityConstraint:
+) -> tuple:
+    """The budget a dimension is fitted under, and its fit when the
+    nonzero-target walk has already made it (None otherwise).
+
+    The walk fits a column target with unpenalized rows and a row target
+    with inactive column budgets, so its fit at the found budget is the
+    dimension's own, except for a doubly-sparse column target, which
+    gets an inactive row budget instead and is fitted afresh.
+    """
     if constraint.mode != "nonzero_target":
-        return constraint
-    found = nnz_target_search(z, constraint.count, axis=constraint.axis, start=start)
-    if constraint.axis == "cols":
-        if variant == "column_sparse":
-            return SparsityConstraint.unpenalized_rows(found.value)
-        return SparsityConstraint.absolute(np.sqrt(z.shape[0]), found.value)
-    return SparsityConstraint.absolute(found.value, np.sqrt(z.shape[1]))
+        return constraint, None
+    found, fit = _nnz_walk(z, constraint.count, constraint.axis, start, stacklevel=1)
+    if constraint.axis == "cols" and variant != "column_sparse":
+        return SparsityConstraint.absolute(np.sqrt(z.shape[0]), found.value), None
+    return fit.constraint, fit
 
 
 def fit_sparse_ca(
@@ -727,11 +745,12 @@ def fit_sparse_ca(
     cumulative = []
     z_work = z0
     for constraint in constraints:
-        # one SVD per deflated matrix warm-starts both the budget search
-        # and the dimension's fit
-        start = full_svd(z_work).V[:, 0]
-        resolved = _resolve_constraint(z_work, constraint, variant, start)
-        factor = pmd_rank1(z_work, resolved, start=start)
+        # one leading vector per deflated matrix warm-starts both the
+        # budget search and the dimension's fit
+        start = _leading_svd(z_work)[1][:, 0]
+        resolved, factor = _resolve_constraint(z_work, constraint, variant, start)
+        if factor is None:
+            factor = pmd_rank1(z_work, resolved, start=start)
         # the variance reported for a dimension is measured against the
         # original residual matrix, not the deflated one it was fitted on
         alpha = float(factor.u @ z0 @ factor.v)

@@ -6,12 +6,14 @@ residual, and matrix-completion cross-validation. Grids come in a 1-D
 coupled form (one scale-free value driving both sides) and a 2-D form
 (independent row and column budgets).
 
-A search takes one SVD per matrix, not one per grid cell: the leading
-right singular vector of the deflated matrix warm-starts every cell's
-rank-1 fit, and its singular values give the BIC variance scale. The
-sparsity index compares against plain SVD components of the undeflated
-matrix, which is a second SVD only when earlier dimensions were
-deflated out. The cells' rank-1 fits then run as one stack over that
+A search takes one eigendecomposition per matrix, not one per grid
+cell: ``linalg._leading_svd`` diagonalizes the Gram matrix of the
+shorter side, the leading right singular vector of the deflated matrix
+warm-starts every cell's rank-1 fit, and the eigenvalues give the BIC
+variance scale. The sparsity index compares against plain singular
+vectors of the undeflated matrix, which is a second eigendecomposition
+only when earlier dimensions were deflated out. No search takes a full
+thin SVD. The cells' rank-1 fits then run as one stack over that
 one matrix, which every member shares rather than copies: a grid search
 or a weight path fits all its budgets in one alternating loop (the
 nonzero-target search in ``sparse`` walks its grid 8 budgets at a time
@@ -19,9 +21,9 @@ the same way), and each member equals its own ``pmd_rank1`` fit.
 
 Cross-validation refits every fold for a fixed number of sweeps, and the
 folds and cells of a search are independent, so each sweep fits them as
-one stack: one stacked SVD of all refilled matrices gives the warm
-starts, and one stacked rank-1 loop fits them, each member exactly as
-its own fit would. The stack is cut into chunks of at most
+one stack: one stacked eigendecomposition of the Gram matrices of all
+refilled matrices gives the warm starts, and one stacked rank-1 loop
+fits them, each member exactly as its own fit would. The stack is cut into chunks of at most
 ``CV_STACK_ENTRIES`` (2**17) matrix entries.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import full_svd
+from .linalg import _leading_svd
 from .sparse import (
     SparseFactor,
     SparsityConstraint,
@@ -131,18 +133,29 @@ def is_criterion(
     orientation : str
         "tradeoff" (default) or "printed".
     full_fit : float, optional
-        The reference fit: ``explained_variance(z, full_svd(z).V[:, :k])``
-        for ``k = len(factors)``. A grid search computes it once for all
-        its cells; when omitted it is computed here from an SVD of ``z``.
+        The reference fit: ``explained_variance(z, V)`` with ``V`` the first
+        ``k = len(factors)`` right singular vectors of ``z``, as
+        ``full_svd(z).V[:, :k]`` gives them. A grid search computes it once
+        for all its cells; when omitted it is computed here from the Gram
+        matrix of ``z`` (``linalg._leading_svd``).
     """
     factors = list(factors)
     if not factors:
         raise InputError("at least one factor is required")
+    return _sparsity_index(
+        np.asarray(z, dtype=float), factors, total_params, nnz_total, orientation, full_fit
+    )
+
+
+def _sparsity_index(z, factors, total_params, nnz_total, orientation, full_fit, fit_sparse=None):
+    """``is_criterion`` of a nonempty factor list. ``fit_sparse`` is the
+    explained variance of the factors' column weights on ``z``; a grid
+    search passes the value it computed for the cell, otherwise it is
+    computed here."""
     if orientation not in IS_ORIENTATIONS:
         raise InputError(
             f"orientation must be one of {IS_ORIENTATIONS}, got {orientation!r}"
         )
-    z = np.asarray(z, dtype=float)
     shape = z.shape
     if total_params is None or nnz_total is None:
         params = 0
@@ -164,10 +177,10 @@ def is_criterion(
     zero_fraction = (total_params - nnz_total) / total_params
     if zero_fraction == 0.0:
         return 0.0
-    v_cols = np.column_stack([f.v for f in factors])
-    fit_sparse = explained_variance(z, v_cols)
+    if fit_sparse is None:
+        fit_sparse = explained_variance(z, np.column_stack([f.v for f in factors]))
     if full_fit is None:
-        full_fit = explained_variance(z, full_svd(z).V[:, : len(factors)])
+        full_fit = explained_variance(z, _leading_svd(z, len(factors))[1])
     if orientation == "tradeoff":
         ratio = fit_sparse / full_fit if full_fit > 0 else 0.0
     else:
@@ -181,9 +194,11 @@ def residual_variance_estimate(
     """Error-variance scale for the BIC: mean squared residual of the
     unconstrained rank-1 fit, with one degree of freedom per weight.
 
-    ``singular_values`` are those of ``z``, ``full_svd(z).s``; a grid
-    search passes the ones of the SVD it already took. When omitted
-    they are computed here.
+    ``singular_values`` are all those of ``z``, in decreasing order, as
+    ``full_svd(z).s`` gives them; a grid search passes the ones its Gram
+    eigendecomposition already gave. When omitted they are computed here
+    the same way (``linalg._leading_svd``), so the residual is the sum of
+    all but the largest eigenvalue of the Gram matrix.
     """
     z = np.asarray(z, dtype=float)
     n_cells = z.size
@@ -191,7 +206,7 @@ def residual_variance_estimate(
     if n_cells <= df_full:
         raise InputError("matrix too small to estimate a residual variance")
     if singular_values is None:
-        sigma = full_svd(z).s
+        sigma = _leading_svd(z)[0]
     else:
         sigma = np.asarray(singular_values, dtype=float)
         if sigma.shape != (min(z.shape),):
@@ -251,10 +266,11 @@ def cv_error(
     so ``holdout_fraction * folds`` may not exceed 1 (``InputError``).
 
     All folds and repeats run as one stack: each sweep takes one stacked
-    SVD of the refilled matrices and one stacked rank-1 fit, and a grid
-    search stacks its cells too (see ``CV_STACK_ENTRIES``). Each member
-    gets the numbers its own fit would give, so a grid search's value
-    for a cell equals this function's value for that cell's constraint.
+    eigendecomposition of the refilled matrices' Gram matrices for the
+    warm starts and one stacked rank-1 fit, and a grid search stacks its
+    cells too (see ``CV_STACK_ENTRIES``). Each member gets the numbers
+    its own fit would give, so a grid search's value for a cell equals
+    this function's value for that cell's constraint.
     """
     return float(
         _cv_errors(z, [constraint], folds, holdout_fraction, repeats, seed, sweeps)[0]
@@ -274,11 +290,11 @@ def _cv_errors(
 
     Every constraint draws the same folds from ``seed``, so the masks are
     built once, and the refilled matrices of all constraints, repeats and
-    folds form one stack per sweep: one stacked SVD gives every member's
-    warm start and one stacked rank-1 loop fits them all. The stack is
-    cut into chunks of at most ``CV_STACK_ENTRIES`` matrix entries (at
-    least one matrix per chunk), which bounds the memory a large table
-    takes.
+    folds form one stack per sweep: one stacked Gram eigendecomposition
+    gives every member's warm start and one stacked rank-1 loop fits them
+    all. The stack is cut into chunks of at most ``CV_STACK_ENTRIES``
+    matrix entries (at least one matrix per chunk), which bounds the
+    memory a large table takes.
     """
     if folds < 1 or repeats < 1:
         raise InputError(f"folds and repeats must be at least 1, got {folds} and {repeats}")
@@ -322,7 +338,7 @@ def _cv_errors(
         cell = members // len(masks)
         filled = np.where(mask, 0.0, z)
         for _ in range(sweeps):
-            start = full_svd(filled).V[:, :, 0]
+            start = _leading_svd(filled)[1][:, :, 0]
             fit = _rank1_stack(filled, budget_u[cell], budget_v[cell], start)
             reconstruction = fit.alpha[:, None, None] * (
                 fit.u[:, :, None] * fit.v[:, None, :]
@@ -372,25 +388,26 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     """Fit and score every cell of one grid search.
 
     Returns one ``(value, nnz_u, nnz_v, fit)`` tuple per constraint. What
-    the cells share is computed once, before the first cell: one SVD of
-    the deflated matrix gives every cell's warm start and the BIC
-    variance scale, and the IS reference fit reuses it unless prior
-    factors make the undeflated matrix a different one. The cells' own
-    rank-1 fits run as one stack over the deflated matrix, and
+    the cells share is computed once, before the first cell: one Gram
+    eigendecomposition of the deflated matrix gives every cell's warm
+    start and the BIC variance scale, and the IS reference fit reuses it
+    unless prior factors make the undeflated matrix a different one. The
+    cells' own rank-1 fits run as one stack over the deflated matrix, and
     cross-validation errors for all cells come from one stacked
-    computation of their own.
+    computation of their own. An IS cell's fit ratio reuses the cell's
+    explained variance.
     """
     if criterion not in ("is", "bic", "cv"):
         raise InputError(f"criterion must be 'is', 'bic' or 'cv', got {criterion!r}")
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
-    svd = full_svd(z_work)
-    start = svd.V[:, 0]
-    sigma2_hat = residual_variance_estimate(z_work, svd.s) if criterion == "bic" else None
+    s, v = _leading_svd(z_work)
+    start = v[:, 0]
+    sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
     full_fit = None
     if criterion == "is":
-        reference = full_svd(z) if prior_factors else svd
-        full_fit = explained_variance(z, reference.V[:, : len(prior_factors) + 1])
+        reference = _leading_svd(z, len(prior_factors) + 1)[1] if prior_factors else v
+        full_fit = explained_variance(z, reference)
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
 
@@ -401,7 +418,7 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
         if criterion == "is":
-            value = is_criterion(z, chain, orientation=orientation, full_fit=full_fit)
+            value = _sparsity_index(z, chain, None, None, orientation, full_fit, fit)
         elif criterion == "bic":
             value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
         else:
@@ -504,7 +521,7 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
     path plots.
 
     All grid values are fitted as one stack over the one deflated matrix,
-    warm-started from its one SVD; each path entry equals that value's
+    warm-started from its leading right singular vector; each path entry equals that value's
     own ``pmd_rank1`` fit.
     """
     z = np.asarray(z, dtype=float)
@@ -512,7 +529,7 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
         grid = default_coupled_grid(z.shape)
     grid = _increasing_grid(grid)
     z_work = _deflate_through(z, prior_factors)
-    start = full_svd(z_work).V[:, 0]
+    start = _leading_svd(z_work)[1][:, 0]
     constraints = [SparsityConstraint.coupled(value) for value in grid]
     stack = _rank1_stack(z_work, *_stack_inputs(constraints, z_work.shape, start))
     u_path, v_path = stack.u, stack.v

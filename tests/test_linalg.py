@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sparseca.ca import correspondence_matrix, standardized_residuals
+from sparseca.datasets import colors_of_music, presidents_scale_corpus
 from sparseca.errors import DegenerateInputError, InputError
 from sparseca.linalg import (
     _l1_project_rows,
+    _leading_svd,
     full_svd,
     l1_constrained_unit_vector,
     soft_threshold,
 )
+from sparseca.sparse import SparsityConstraint, nnz_target_search, pmd_rank1, ppmd_deflate
+from sparseca.tuning import cv_error, grid_search_1d, weight_paths
+
+from conftest import large_table_residuals
 
 
 class TestFullSvd:
@@ -59,23 +66,143 @@ class TestFullSvd:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_stack_matches_member_calls(self, rng):
-        # a stack factorizes member by member, signs included; one member
-        # has a repeated column, so its V has a tied-magnitude anchor
-        for shape in [(5, 7, 4), (4, 4, 6), (2, 3, 5, 5)]:
-            x = rng.normal(size=shape)
-            x[(0,) * (len(shape) - 2)][:, 1] = x[(0,) * (len(shape) - 2)][:, 0]
-            stacked = full_svd(x)
-            for index in np.ndindex(*shape[:-2]):
-                single = full_svd(x[index])
-                for got, want in zip(stacked, single):
-                    np.testing.assert_array_equal(got[index], want)
-
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
             full_svd(np.ones(3))
         with pytest.raises(InputError):
             full_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(InputError, match="2-d"):
+            full_svd(np.ones((2, 3, 3)))
+
+
+def _residuals(table):
+    return standardized_residuals(*correspondence_matrix(table))
+
+
+def _with_spectrum(rng, shape, s):
+    """A matrix of ``shape`` with singular values ``s`` (descending) and
+    random singular vectors."""
+    q1, _ = np.linalg.qr(rng.normal(size=(shape[0], len(s))))
+    q2, _ = np.linalg.qr(rng.normal(size=(shape[1], len(s))))
+    return (q1 * s) @ q2.T, q2
+
+
+class TestLeadingSvd:
+    """Leading singular vectors from the Gram matrix of the shorter side,
+    checked against the full thin SVD."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        tables = {
+            "music": _residuals(colors_of_music()),
+            "corpus": _residuals(presidents_scale_corpus()),
+        }
+        for seed, round_ in [(1, 0), (1, 1), (2, 0)]:
+            tables[f"large({seed}, {round_})"] = large_table_residuals(seed, round_)
+        return tables
+
+    def assert_agrees(self, x, k):
+        s, v = _leading_svd(x, k)
+        svd = full_svd(x)
+        assert v.shape == (x.shape[1], k)
+        assert np.abs(v - svd.V[:, :k]).max() <= 1e-12
+        scale = svd.s[0] ** 2
+        assert abs(s[0] ** 2 - scale) <= 1e-12 * scale
+        # the BIC residual: every squared singular value past the first
+        assert abs((s[1:] ** 2).sum() - (svd.s[1:] ** 2).sum()) <= 1e-12 * scale
+
+    def test_agrees_with_full_svd_on_tables(self, tables):
+        # the two leading vectors of each residual matrix, and the leading
+        # vector after a sparse first dimension is deflated out
+        for z in tables.values():
+            self.assert_agrees(z, 2)
+            first = pmd_rank1(z, SparsityConstraint.coupled(0.5))
+            self.assert_agrees(ppmd_deflate(z, first), 1)
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 7), (7, 30), (12, 12), (200, 40), (40, 200), (2, 9), (9, 1)]
+    )
+    def test_fuzz_gapped_spectrum(self, rng, shape):
+        for _ in range(10):
+            r = min(shape)
+            s = np.sort(rng.uniform(0.0, 1.0, size=r))[::-1]
+            s[:2] += [3.0, 1.5][:r]
+            x, _ = _with_spectrum(rng, shape, s)
+            self.assert_agrees(x, min(2, r))
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+    def test_fuzz_rank_one(self, rng, shape):
+        for _ in range(10):
+            a, b = rng.normal(size=shape[0]), rng.normal(size=shape[1])
+            s, v = _leading_svd(np.outer(a, b))
+            expected = b / np.linalg.norm(b)
+            expected *= np.sign(expected[np.abs(expected).argmax()])
+            assert np.abs(v[:, 0] - expected).max() <= 1e-12
+            top = np.linalg.norm(a) * np.linalg.norm(b)
+            assert s[0] == pytest.approx(top, rel=1e-12)
+            # squaring leaves the null singular values at roundoff's square root
+            assert np.all(s[1:] <= 1e-7 * top)
+
+    def test_stack_matches_member_calls(self, rng):
+        # a stack is decomposed member by member, signs included; one member
+        # has a repeated column, so its V has a tied-magnitude anchor
+        for shape in [(5, 7, 4), (4, 4, 6), (2, 3, 5, 5), (3, 20, 50)]:
+            x = rng.normal(size=shape)
+            x[(0,) * (len(shape) - 2)][:, 1] = x[(0,) * (len(shape) - 2)][:, 0]
+            stacked = _leading_svd(x, 2)
+            for index in np.ndindex(*shape[:-2]):
+                single = _leading_svd(x[index], 2)
+                for got, want in zip(stacked, single):
+                    np.testing.assert_array_equal(got[index], want)
+                svd = full_svd(x[index])
+                assert np.abs(single[1][:, 0] - svd.V[:, 0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
+    def test_tied_leading_value_gives_a_unit_vector_in_the_tie(self, rng, shape):
+        for _ in range(10):
+            x, q2 = _with_spectrum(rng, shape, np.array([3.0, 3.0, 1.0, 0.5]))
+            s, v = _leading_svd(x)
+            assert np.linalg.norm(v[:, 0]) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(q2[:, :2].T @ v[:, 0]) == pytest.approx(1.0, abs=1e-12)
+            assert s[:2] == pytest.approx([3.0, 3.0], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_zero_matrix_and_member(self, shape):
+        s, v = _leading_svd(np.zeros(shape), 2)
+        assert np.all(s == 0.0) and np.all(np.isfinite(v))
+        stack = np.random.default_rng(0).normal(size=(3, *shape))
+        stack[1] = 0.0
+        s, v = _leading_svd(stack)
+        assert np.all(s[1] == 0.0) and np.all(np.isfinite(v))
+        np.testing.assert_array_equal(v[2], _leading_svd(stack[2])[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_zero_input_fails_as_before(self, shape):
+        # the fits still reject a zero matrix themselves, with the same error
+        zero = np.zeros(shape)
+        calls = [
+            lambda: pmd_rank1(zero, SparsityConstraint.coupled(0.8)),
+            lambda: nnz_target_search(zero, 2),
+            lambda: grid_search_1d(zero, grid=[0.8, 1.0], criterion="bic"),
+            lambda: weight_paths(zero, grid=[0.8, 1.0]),
+        ]
+        # a single nonzero cell leaves the fold that blanks it all zero
+        one_cell = zero.copy()
+        one_cell[1, 2] = 1.0
+        calls.append(lambda: cv_error(one_cell, SparsityConstraint.coupled(0.8), seed=0))
+        for call in calls:
+            with pytest.raises(DegenerateInputError, match="all-zero matrix"):
+                call()
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InputError, match="2-d"):
+            _leading_svd(np.ones(3))
+        with pytest.raises(InputError, match="non-finite"):
+            _leading_svd(np.array([[[1.0, np.nan], [0.0, 1.0]]]))
+        with pytest.raises(InputError, match="overflows"):
+            _leading_svd(np.full((3, 2), 1e200))
 
 
 class TestSoftThreshold:

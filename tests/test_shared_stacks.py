@@ -2,17 +2,14 @@
 that matrix. Every member must equal its own ``pmd_rank1`` fit, so each
 search is checked here against a copy of the serial loop it replaced."""
 
-import importlib.util
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparseca.sparse
-from sparseca.ca import ContingencyTable, correspondence_matrix, standardized_residuals
-from sparseca.linalg import full_svd
+from sparseca.linalg import _leading_svd
 from sparseca.sparse import (
     NNZ_CHUNK,
     NNZ_GRID_STEP,
@@ -37,21 +34,12 @@ from sparseca.tuning import (
     weight_paths,
 )
 
-
-def _large_table_residuals(seed, round_):
-    """Residual matrix of the benchmark's seeded 120x800 table."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    t = workloads.large_table(seed, round_)
-    table = ContingencyTable(t.counts, t.row_labels, t.col_labels)
-    return standardized_residuals(*correspondence_matrix(table))
+from conftest import large_table_residuals
 
 
 @pytest.fixture(scope="module")
 def large_z():
-    return _large_table_residuals(1, 0)
+    return large_table_residuals(1, 0)
 
 
 # Reference copies of the serial loops, one pmd_rank1 fit per budget.
@@ -59,7 +47,7 @@ def large_z():
 
 def serial_weight_paths(z, grid, prior_factors=()):
     z_work = _deflate_through(z, prior_factors)
-    start = full_svd(z_work).V[:, 0]
+    start = _leading_svd(z_work)[1][:, 0]
     factors = [
         pmd_rank1(z_work, SparsityConstraint.coupled(value), start=start)
         for value in grid
@@ -72,13 +60,13 @@ def serial_evaluate_cells(
 ):
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
-    svd = full_svd(z_work)
-    start = svd.V[:, 0]
-    sigma2_hat = residual_variance_estimate(z_work, svd.s) if criterion == "bic" else None
+    s, v = _leading_svd(z_work)
+    start = v[:, 0]
+    sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
     full_fit = None
     if criterion == "is":
-        reference = full_svd(z) if prior_factors else svd
-        full_fit = explained_variance(z, reference.V[:, : len(prior_factors) + 1])
+        reference = _leading_svd(z, len(prior_factors) + 1)[1] if prior_factors else v
+        full_fit = explained_variance(z, reference)
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
     results = []
@@ -98,7 +86,7 @@ def serial_evaluate_cells(
 
 def serial_nnz_target_search(z, target, axis="cols"):
     length = z.shape[0] if axis == "rows" else z.shape[1]
-    start = full_svd(z).V[:, 0]
+    start = _leading_svd(z)[1][:, 0]
     grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
     best = None
     for value in grid:
@@ -142,7 +130,7 @@ class TestSharedMatrixStack:
 
     def test_members_equal_their_own_fits(self):
         z = np.random.default_rng(3).normal(size=(8, 7))
-        start = full_svd(z).V[:, 0]
+        start = _leading_svd(z)[1][:, 0]
         stack = _rank1_stack(
             z,
             *_budget_arrays(self.constraints, z.shape),
@@ -304,7 +292,7 @@ class TestNnzWalkMatchesSerial:
         # the second dimension of this table, as a column-sparse fit with
         # target 40 deflates it, has two fits before the hit that stop at
         # the iteration cap
-        z = _large_table_residuals(1, 1)
+        z = large_table_residuals(1, 1)
         first = nnz_target_search(z, 40)
         z = ppmd_deflate(z, pmd_rank1(z, SparsityConstraint.unpenalized_rows(first.value)))
         expected, expected_messages = messages_of(serial_nnz_target_search, z, 40)

@@ -7,7 +7,7 @@ import pytest
 import sparseca.sparse
 from sparseca.ca import ContingencyTable, fit_ca
 from sparseca.errors import DegenerateInputError, InputError, SparseCAError
-from sparseca.linalg import full_svd
+from sparseca.linalg import _leading_svd, full_svd
 from sparseca.sparse import (
     SparsityConstraint,
     _rank1_stack,
@@ -207,7 +207,7 @@ class TestPmdRank1:
             inactive(z.shape),
         ):
             own = pmd_rank1(z, constraint)
-            given = pmd_rank1(z, constraint, start=full_svd(z).V[:, 0])
+            given = pmd_rank1(z, constraint, start=_leading_svd(z)[1][:, 0])
             np.testing.assert_array_equal(given.u, own.u)
             np.testing.assert_array_equal(given.v, own.v)
             assert (given.alpha, given.n_iter) == (own.alpha, own.n_iter)
@@ -241,7 +241,7 @@ def _stack_inputs(z, constraints):
     budgets = [c.budgets(z.shape[1:]) for c in constraints]
     budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
     budget_v = np.array([bv for _, bv in budgets])
-    return budget_u, budget_v, full_svd(z).V[:, :, 0]
+    return budget_u, budget_v, _leading_svd(z)[1][:, :, 0]
 
 
 class TestRank1Stack:
@@ -505,7 +505,7 @@ class TestNnzTargetSearch:
     def test_supplied_start_gives_the_same_budget(self, rng, svd_calls):
         z = rng.normal(size=(12, 30))
         own = nnz_target_search(z, 20, axis="cols")
-        given = nnz_target_search(z, 20, axis="cols", start=full_svd(z).V[:, 0])
+        given = nnz_target_search(z, 20, axis="cols", start=_leading_svd(z)[1][:, 0])
         assert given == own
         assert len(svd_calls) == 1
 
@@ -687,6 +687,37 @@ class TestFitSparseCa:
         )
         assert [f.nnz_v >= 20 for f in model.factors] == [True, True]
         assert svd_calls == [(12, 30), (12, 30)]
+
+    @pytest.mark.filterwarnings("ignore:rank-1 fit did not converge")
+    @pytest.mark.parametrize(
+        "variant, target, refits",
+        [("column_sparse", SparsityConstraint.nonzero_target(20, "cols"), 0),
+         ("doubly_sparse", SparsityConstraint.nonzero_target(5, "rows"), 0),
+         ("doubly_sparse", SparsityConstraint.nonzero_target(20, "cols"), 2)],
+    )
+    def test_nonzero_target_keeps_the_walks_fit(self, rng, monkeypatch, variant, target, refits):
+        # a dimension fitted at the budget the walk found is the walk's own
+        # fit, not a second one; a doubly-sparse column target changes the
+        # row budget, so it is fitted again
+        t = ContingencyTable.from_counts(random_table(rng, 12, 30, total=3000))
+        real = sparseca.sparse.pmd_rank1
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("sparseca.sparse.pmd_rank1", counting)
+        model = fit_sparse_ca(t, target, n_dims=2, variant=variant)
+        assert len(calls) == refits
+        z = model.residuals
+        for factor in model.factors:
+            own = real(z, factor.constraint, start=_leading_svd(z)[1][:, 0])
+            np.testing.assert_array_equal(factor.v, own.v)
+            sign = 1.0 if np.array_equal(factor.u, own.u) else -1.0
+            np.testing.assert_array_equal(factor.u, sign * own.u)
+            assert (factor.n_iter, factor.converged) == (own.n_iter, own.converged)
+            z = ppmd_deflate(z, factor)
 
     def test_dimension_validation(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 5, 4))

@@ -15,8 +15,14 @@ import pytest
 
 import sparseca.sparse
 import sparseca.tuning
-from sparseca.ca import ContingencyTable
-from sparseca.sparse import SparsityConstraint, fit_sparse_ca, pmd_rank1
+from sparseca.ca import ContingencyTable, correspondence_matrix, standardized_residuals
+from sparseca.sparse import (
+    NNZ_GRID_STEP,
+    SparsityConstraint,
+    fit_sparse_ca,
+    nnz_target_search,
+    pmd_rank1,
+)
 from sparseca.tuning import cv_error, grid_search_1d, weight_paths
 
 from conftest import random_table
@@ -112,12 +118,15 @@ def test_nonzero_walk_names_the_budget_search(all_capped):
         SparsityConstraint.nonzero_target(4, "cols"),
         variant="column_sparse",
     )
-    # the walk warns for its fits up to the hit, then the dimension's own
-    # fit warns once
-    assert len(lines) >= 2
-    assert {filename for filename, _ in lines} == {sparseca.sparse.__file__}
-    walk, own = lines[:-1], lines[-1]
-    assert {line for _, line in walk} == {
-        "found = nnz_target_search(z, constraint.count, axis=constraint.axis, start=start)"
-    }
-    assert "pmd_rank1(z_work" in own[1]
+    # the walk warns for its fits up to the hit, and the dimension keeps
+    # the hit's fit, so that fit warns once
+    z = standardized_residuals(*correspondence_matrix(table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        found = nnz_target_search(z, 4)
+    hit = round((found.value - 1.0) / NNZ_GRID_STEP)
+    assert hit >= 1 and len(lines) == hit + 1
+    assert set(lines) == {(
+        sparseca.sparse.__file__,
+        "found, fit = _nnz_walk(z, constraint.count, constraint.axis, start, stacklevel=1)",
+    )}
