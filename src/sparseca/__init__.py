@@ -38,7 +38,7 @@ from .io import (
     write_contingency_csv,
     write_tables_csv,
 )
-from .linalg import full_svd, l1_constrained_unit_vector, soft_threshold
+from .linalg import full_svd, l1_constrained_unit_vector
 from .sparse import (
     SparseCAModel,
     SparseFactor,
@@ -49,7 +49,6 @@ from .sparse import (
     nnz_target_search,
     pmd_rank1,
     ppmd_deflate,
-    sparse_contributions,
 )
 from .svg import PlotSpec, render_svg
 from .tuning import (
@@ -72,8 +71,8 @@ __all__ = [
     "CADecomposition",
     "ContingencyTable",
     "ContributionTable",
-    "Dendrogram",
     "DegenerateInputError",
+    "Dendrogram",
     "InputError",
     "ParseError",
     "PlotSpec",
@@ -111,8 +110,6 @@ __all__ = [
     "presidents_scale_corpus",
     "read_contingency_csv",
     "render_svg",
-    "soft_threshold",
-    "sparse_contributions",
     "standardized_residuals",
     "total_inertia",
     "typicality_zscores",

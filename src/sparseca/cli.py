@@ -234,7 +234,7 @@ def _cmd_sca(args):
     render_svg(model, PlotSpec("symmetric_map", dims=dims, label_filter=label_filter,
                                out_path=out / "map.svg"))
     render_svg(model, PlotSpec("scree", out_path=out / "scree.svg"))
-    inertia = float(np.sum(model.residuals**2))
+    inertia = model.total_inertia
     for k, factor in enumerate(model.factors, start=1):
         budget = factor.constraint.sumabsv
         budget_note = f", sumabsv {budget:.6g}" if budget is not None else ""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ca import CADecomposition, ContingencyTable, contributions
 from .errors import InputError, ParseError
-from .sparse import SparseCAModel, sparse_contributions
+from .sparse import SparseCAModel
 from .tuning import TuningResult
 
 
@@ -261,19 +261,9 @@ def write_tables_csv(model, out_dir) -> list:
     sparse = isinstance(model, SparseCAModel)
     if not sparse and not isinstance(model, CADecomposition):
         raise InputError(f"cannot serialize {type(model).__name__}")
-
-    if sparse:
-        eigenvalues = model.eigenvalues
-        inertia = float(np.sum(model.residuals**2))
-        contrib = sparse_contributions(model)
-        weights_u = np.column_stack([f.u for f in model.factors])
-        weights_v = np.column_stack([f.v for f in model.factors])
-        n_dims = len(model.factors)
-    else:
-        eigenvalues = model.eigenvalues
-        inertia = model.total_inertia
-        contrib = contributions(model)
-        n_dims = model.n_dims
+    n_dims = model.n_dims
+    inertia = model.total_inertia
+    contrib = contributions(model)
     table = model.table
 
     paths = []
@@ -282,7 +272,7 @@ def write_tables_csv(model, out_dir) -> list:
     with handle:
         writer.writerow(["dim", "eigenvalue", "percent", "cumulative_percent"])
         running = 0.0
-        for k, lam in enumerate(np.asarray(eigenvalues), start=1):
+        for k, lam in enumerate(model.eigenvalues, start=1):
             share = 100.0 * lam / inertia
             running += share
             writer.writerow([k, format_sig(lam), format_sig(share), format_sig(running)])
@@ -290,9 +280,9 @@ def write_tables_csv(model, out_dir) -> list:
 
     for name, labels, coords, contrib_side, weights in (
         ("rows.csv", table.row_labels, model.row_coords, contrib.row_contrib,
-         weights_u if sparse else None),
+         model.row_weights if sparse else None),
         ("cols.csv", table.col_labels, model.col_coords, contrib.col_contrib,
-         weights_v if sparse else None),
+         model.col_weights if sparse else None),
     ):
         path = out_dir / name
         handle, writer = _open_writer(path)
@@ -314,28 +304,19 @@ def write_tables_csv(model, out_dir) -> list:
 def write_tuning_csv(result: TuningResult, path) -> None:
     """One grid cell per row, with the selected cell flagged."""
     grid = result.grid
-    two_d = grid.axis2 is not None
+    axes = (grid.axis1,) if grid.axis2 is None else (grid.axis1, grid.axis2)
+    optimum = tuple(np.atleast_1d(result.optimum))
     handle, writer = _open_writer(path)
     with handle:
-        head = ["value_u", "value_v"] if two_d else ["value"]
+        head = ["value"] if grid.axis2 is None else ["value_u", "value_v"]
         writer.writerow([*head, "criterion", "nnz_u", "nnz_v", "fit", "selected"])
-        if two_d:
-            for i, vu in enumerate(grid.axis1):
-                for j, vv in enumerate(grid.axis2):
-                    selected = int((vu, vv) == tuple(result.optimum))
-                    writer.writerow([
-                        format_sig(vu), format_sig(vv),
-                        format_sig(grid.values[i, j]),
-                        int(grid.nnz_u[i, j]), int(grid.nnz_v[i, j]),
-                        format_sig(grid.fit[i, j]), selected,
-                    ])
-        else:
-            for i, value in enumerate(grid.axis1):
-                writer.writerow([
-                    format_sig(value), format_sig(grid.values[i]),
-                    int(grid.nnz_u[i]), int(grid.nnz_v[i]),
-                    format_sig(grid.fit[i]), int(value == result.optimum),
-                ])
+        for cell in np.ndindex(grid.values.shape):
+            budgets = tuple(axis[i] for axis, i in zip(axes, cell))
+            writer.writerow([
+                *map(format_sig, budgets), format_sig(grid.values[cell]),
+                int(grid.nnz_u[cell]), int(grid.nnz_v[cell]),
+                format_sig(grid.fit[cell]), int(budgets == optimum),
+            ])
 
 
 def write_clusters_csv(labels, assignment, path) -> None:

@@ -110,11 +110,6 @@ def _column_signs(v: np.ndarray) -> np.ndarray:
     return sign
 
 
-def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    """Shrink ``x`` toward zero by ``t``, clipping at zero."""
-    return np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)
-
-
 def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     """Maximize ``x @ u`` over unit vectors with L1 norm at most ``c``.
 

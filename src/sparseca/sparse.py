@@ -10,7 +10,7 @@ breaks exact orthogonality.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,6 +284,8 @@ def _rank1_stack(
 def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackFit:
     """``_rank1_stack`` without the warnings, for a caller that uses only
     some members and warns for those (see ``_warn_unconverged``)."""
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
     if not np.isfinite(z).all():
         raise InputError("matrix contains non-finite entries")
     nonzero = z.any(axis=(-2, -1))
@@ -294,11 +296,14 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
     # the singular vector itself
     v = _l1_project_rows(start, budget_v)
     # members still iterating; a stack is compacted when some stop, and
-    # each batch that stops is kept as (members, u, v, last change, step)
+    # each member that stops is written to its own row of the results
     live = np.arange(budget_v.size)
+    u_out = np.empty((live.size, z.shape[-2]))
+    v_out = np.empty_like(v)
+    change_out = np.empty(live.size)
+    n_iter = np.empty(live.size, dtype=int)
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
     free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
-    stopped = []
     objective = np.full(live.size, -np.inf)
     for step in range(1, max_iter + 1):
         zv = np.matmul(zs, v[..., None])[..., 0]
@@ -319,13 +324,14 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
         _check_ascent("column", after_u, objective)
         change = np.abs(v_new - v).max(axis=-1)
         v = v_new
-        done = change < tol
+        done = (change < tol) | (step == max_iter)
         n_done = np.count_nonzero(done)
-        if step == max_iter or n_done == done.size:
-            stopped.append((live, u, v, change, step))
-            break
         if n_done:
-            stopped.append((live[done], u[done], v[done], change[done], step))
+            members = live[done]
+            u_out[members], v_out[members] = u[done], v[done]
+            change_out[members], n_iter[members] = change[done], step
+            if n_done == done.size:
+                break
             keep = ~done
             live, bu, bv, v, objective = (
                 live[keep], bu[keep], bv[keep], v[keep], objective[keep]
@@ -334,15 +340,7 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
                 zs, zts = zs[keep], zts[keep]
             free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
 
-    if len(stopped) == 1:
-        _, u, v, change, step = stopped[0]
-        n_iter = np.full(change.shape, step)
-    else:
-        order = np.argsort(np.concatenate([batch[0] for batch in stopped]))
-        u, v, change = (
-            np.concatenate([batch[i] for batch in stopped])[order] for i in (1, 2, 3)
-        )
-        n_iter = np.concatenate([np.full(len(b[0]), b[4]) for b in stopped])[order]
+    u, v, change = u_out, v_out, change_out
     # sign convention: the largest-magnitude column weight is positive
     flip = _row_pick(v, np.abs(v).argmax(axis=-1)) < 0
     if np.count_nonzero(flip):
@@ -593,6 +591,10 @@ class SparseCAModel:
         Per-dimension and running share of the residual variance
         captured by projection onto the span of the column weights.
     gram_report : GramReport
+
+    Like ``CADecomposition`` it reports ``eigenvalues``, ``n_dims`` and
+    ``total_inertia``, so ``ca.contributions`` applies unchanged; the
+    weight vectors are ``row_weights`` and ``col_weights``.
     """
 
     table: ContingencyTable
@@ -616,6 +618,22 @@ class SparseCAModel:
     @property
     def n_dims(self) -> int:
         return len(self.factors)
+
+    @property
+    def total_inertia(self) -> float:
+        """Squared norm of the residual matrix, the table's total inertia."""
+        return float(np.sum(self.residuals**2))
+
+    @property
+    def row_weights(self) -> np.ndarray:
+        """Row weight vectors, one column per dimension; thresholded
+        entries are exact zeros."""
+        return np.column_stack([f.u for f in self.factors])
+
+    @property
+    def col_weights(self) -> np.ndarray:
+        """Column weight vectors, one column per dimension."""
+        return np.column_stack([f.v for f in self.factors])
 
 
 def explained_variance(z: np.ndarray, weight_columns: np.ndarray) -> float:
@@ -650,25 +668,6 @@ def explained_variance(z: np.ndarray, weight_columns: np.ndarray) -> float:
         inv = np.linalg.inv(gram)
     projected = z @ vk @ inv @ vk.T
     return float(np.clip((projected**2).sum() / total, 0.0, 1.0))
-
-
-def _resolve_constraint(
-    z: np.ndarray, constraint: SparsityConstraint, variant: str, start: np.ndarray
-) -> tuple:
-    """The budget a dimension is fitted under, and its fit when the
-    nonzero-target walk has already made it (None otherwise).
-
-    The walk fits a column target with unpenalized rows and a row target
-    with inactive column budgets, so its fit at the found budget is the
-    dimension's own, except for a doubly-sparse column target, which
-    gets an inactive row budget instead and is fitted afresh.
-    """
-    if constraint.mode != "nonzero_target":
-        return constraint, None
-    found, fit = _nnz_walk(z, constraint.count, constraint.axis, start, stacklevel=1)
-    if constraint.axis == "cols" and variant != "column_sparse":
-        return SparsityConstraint.absolute(np.sqrt(z.shape[0]), found.value), None
-    return fit.constraint, fit
 
 
 def fit_sparse_ca(
@@ -748,9 +747,15 @@ def fit_sparse_ca(
         # one leading vector per deflated matrix warm-starts both the
         # budget search and the dimension's fit
         start = _leading_svd(z_work)[1][:, 0]
-        resolved, factor = _resolve_constraint(z_work, constraint, variant, start)
-        if factor is None:
-            factor = pmd_rank1(z_work, resolved, start=start)
+        # the nonzero-target walk fits a column target with unpenalized
+        # rows and a row target with inactive column budgets, so its fit
+        # at the found budget is the dimension's own; in a doubly-sparse
+        # fit too, as a row budget of sqrt(n_rows) never binds
+        if constraint.mode == "nonzero_target":
+            count, axis = constraint.count, constraint.axis
+            factor = _nnz_walk(z_work, count, axis, start, stacklevel=1)[1]
+        else:
+            factor = pmd_rank1(z_work, constraint, start=start)
         # the variance reported for a dimension is measured against the
         # original residual matrix, not the deflated one it was fitted on
         alpha = float(factor.u @ z0 @ factor.v)
@@ -798,47 +803,4 @@ def fit_sparse_ca(
         explained_ratios=ratios,
         explained_cumulative=cumulative,
         gram_report=gram,
-    )
-
-
-@dataclass
-class SparseContributionTable:
-    """Contributions plus the weight tables with exact zeros.
-
-    ``row_contrib``/``col_contrib`` follow the standard CA formula
-    (mass times squared coordinate over eigenvalue) applied to the
-    sparse coordinates. ``row_weights``/``col_weights`` are the raw
-    weight vectors; thresholded entries are exactly 0, and
-    ``zero_rows``/``zero_cols`` flag categories with zero weight on
-    every dimension.
-    """
-
-    row_contrib: np.ndarray
-    col_contrib: np.ndarray
-    degenerate: np.ndarray
-    row_weights: np.ndarray
-    col_weights: np.ndarray
-    zero_rows: np.ndarray
-    zero_cols: np.ndarray
-
-
-def sparse_contributions(model: SparseCAModel) -> SparseContributionTable:
-    """Contribution and weight tables for a fitted sparse model."""
-    lam = model.eigenvalues
-    degenerate = lam <= 1e-14 * max(float(lam.max(initial=0.0)), 1.0)
-    safe = np.where(degenerate, 1.0, lam)
-    row = model.row_masses[:, None] * model.row_coords**2 / safe
-    col = model.col_masses[:, None] * model.col_coords**2 / safe
-    row[:, degenerate] = 0.0
-    col[:, degenerate] = 0.0
-    row_weights = np.column_stack([f.u for f in model.factors])
-    col_weights = np.column_stack([f.v for f in model.factors])
-    return SparseContributionTable(
-        row_contrib=row,
-        col_contrib=col,
-        degenerate=degenerate,
-        row_weights=row_weights,
-        col_weights=col_weights,
-        zero_rows=~np.any(row_weights != 0.0, axis=1),
-        zero_cols=~np.any(col_weights != 0.0, axis=1),
     )

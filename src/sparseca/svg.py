@@ -175,13 +175,6 @@ def _axis_cross(frame):
     return parts
 
 
-def _model_shares(model):
-    if isinstance(model, SparseCAModel):
-        inertia = float(np.sum(model.residuals**2))
-        return np.asarray(model.eigenvalues), inertia
-    return np.asarray(model.eigenvalues), model.total_inertia
-
-
 def _check_dims(dims, n_dims):
     if len(dims) not in (1, 2) or len(set(dims)) != len(dims):
         raise InputError(f"dims must be one or two distinct indices, got {dims}")
@@ -201,14 +194,12 @@ def _active_mask(model, dims, side):
     if not isinstance(model, SparseCAModel):
         size = len(model.row_coords) if side == "row" else len(model.col_coords)
         return np.ones(size, dtype=bool)
-    vectors = [
-        model.factors[d].u if side == "row" else model.factors[d].v for d in dims
-    ]
-    return np.any(np.column_stack(vectors) != 0, axis=1)
+    weights = model.row_weights if side == "row" else model.col_weights
+    return np.any(weights[:, list(dims)] != 0, axis=1)
 
 
 def _axis_captions(model, dims, frame):
-    eigenvalues, inertia = _model_shares(model)
+    eigenvalues, inertia = model.eigenvalues, model.total_inertia
     parts = []
     lam = eigenvalues[dims[0]]
     caption = f"dim {dims[0] + 1} ({lam:.4g}, {100 * lam / inertia:.1f}%)"
@@ -257,7 +248,7 @@ def _render_symmetric_map(model, spec):
 
 
 def _render_scree(model, spec):
-    eigenvalues, _inertia = _model_shares(model)
+    eigenvalues = model.eigenvalues
     n = len(eigenvalues)
     frame = _Frame([0.5, n + 0.5], [0.0, float(np.max(eigenvalues))])
     parts = []

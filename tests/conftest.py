@@ -28,6 +28,11 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
+    """Shrink ``x`` toward zero by ``t``, clipping at zero."""
+    return np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)
+
+
 def random_table(rng, n_rows, n_cols, total=500):
     """Random nonnegative integer table with every margin positive."""
     while True:

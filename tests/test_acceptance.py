@@ -13,7 +13,7 @@ import pytest
 from sparseca.ca import ContingencyTable, fit_ca
 from sparseca.cluster import ward_cluster, cut_tree
 from sparseca.datasets import colors_of_music, presidents_scale_corpus
-from sparseca.linalg import full_svd, soft_threshold
+from sparseca.linalg import full_svd
 from sparseca.sparse import (
     SparsityConstraint,
     explained_variance,
@@ -24,7 +24,7 @@ from sparseca.sparse import (
 )
 from sparseca.tuning import default_coupled_grid, grid_search_1d, grid_search_2d
 
-from conftest import random_table
+from conftest import random_table, soft_threshold
 
 
 def _report(num, ok, detail):

@@ -21,7 +21,7 @@ from sparseca.io import (
     write_tuning_csv,
     write_typicality_csv,
 )
-from sparseca.sparse import SparsityConstraint, fit_sparse_ca, sparse_contributions
+from sparseca.sparse import SparsityConstraint, fit_sparse_ca
 from sparseca.tuning import grid_search_1d, grid_search_2d
 
 from conftest import random_table
@@ -544,7 +544,7 @@ class TestRowFormatterMatchesCellFormatters:
         if sparse:
             model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 3, n_dims=3)
             weights = np.column_stack([f.u for f in model.factors])
-            contrib = sparse_contributions(model).row_contrib
+            contrib = contributions(model).row_contrib
             n_dims = 3
         else:
             model = fit_ca(table)

@@ -12,12 +12,11 @@ from sparseca.linalg import (
     _leading_svd,
     full_svd,
     l1_constrained_unit_vector,
-    soft_threshold,
 )
 from sparseca.sparse import SparsityConstraint, nnz_target_search, pmd_rank1, ppmd_deflate
 from sparseca.tuning import cv_error, grid_search_1d, weight_paths
 
-from conftest import large_table_residuals
+from conftest import large_table_residuals, soft_threshold
 
 
 class TestFullSvd:
