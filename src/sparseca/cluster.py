@@ -244,14 +244,11 @@ def typicality_zscores(
             stacklevel=2,
         )
 
+    expected = np.outer(k_i, k_j) / k
+    variance = expected * (1.0 - k_j / k)
+    live = (variance > 0) & ~excluded
     z = np.full((n_clusters, n_categories), np.nan)
-    for j in range(n_categories):
-        if excluded[j]:
-            continue
-        expected = k_i * k_j[j] / k
-        variance = expected * (1.0 - k_j[j] / k)
-        live = variance > 0
-        z[live, j] = (counts[live, j] - expected[live]) / np.sqrt(variance[live])
+    z[live] = (counts[live] - expected[live]) / np.sqrt(variance[live])
 
     ranked = []
     for i in range(n_clusters):

@@ -121,10 +121,12 @@ def l1_constrained_unit_vector(x: np.ndarray, c: float) -> np.ndarray:
     and a quadratic in the threshold gives the value where the ratio
     equals ``c``. When ``c`` is 1, or below the square root of the
     number of entries tied at ``max|x|``, no threshold reaches the
-    budget and the answer is 1-sparse at the first maximal entry.
-    ``c`` must lie in ``[1, sqrt(len(x))]``: below 1 the constraints
-    are incompatible with a unit vector, above ``sqrt(len(x))`` the
-    bound can never bind.
+    budget; the answer then lies on the tied entries, with an equal
+    weight on the first ``floor(c**2)`` of them in index order and the
+    rest of the budget on the next one, and reaches ``c * max|x|`` (at
+    ``c`` = 1 it is 1-sparse at the first maximal entry). ``c`` must lie
+    in ``[1, sqrt(len(x))]``: below 1 the constraints are incompatible
+    with a unit vector, above ``sqrt(len(x))`` the bound can never bind.
 
     The rank-1 fits project a stack of rows, each under its own budget,
     with one sort along the rows; this function runs that routine on a
@@ -228,14 +230,22 @@ def _l1_project_rows(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     sigma = np.minimum(cap, mean + c / k * np.sqrt(spread / slack))
     u = np.copysign(np.maximum(sigma[:, None] - (top - abs_x), 0.0), x)
     u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0]
-    # c = 1, or c below sqrt(#ties at the top), admits no threshold: the
-    # answer is 1-sparse at the first maximal entry
-    one_sparse = (c == 1.0) | (c < np.sqrt(n_tied))
-    if np.count_nonzero(one_sparse):
-        first = abs_x.argmax(axis=-1)[:, None]
-        e = np.zeros_like(u)
-        np.put_along_axis(e, first, np.sign(np.take_along_axis(x, first, axis=-1)), axis=-1)
-        u = np.where(one_sparse[:, None], e, u)
+    # c = 1, or c below sqrt(#ties at the top), admits no threshold. Any
+    # unit vector on the tied entries with L1 norm c reaches c * max|x|;
+    # take weight p on the first m = floor(c^2) of them and q <= p on the
+    # next, with m p + q = c and m p^2 + q^2 = 1. At c = 1 this is the
+    # 1-sparse answer p = 1, q = 0.
+    on_ties = (c == 1.0) | (c < np.sqrt(n_tied))
+    if np.count_nonzero(on_ties):
+        ct = c[on_ties, None]
+        m = np.floor(ct * ct)
+        p = (ct * m + np.sqrt(m * (m + 1.0 - ct * ct))) / (m * (m + 1.0))
+        q = np.maximum(ct - m * p, 0.0)
+        tied = abs_x[on_ties] == top[on_ties]
+        rank = tied.cumsum(axis=-1)
+        weight = np.where(tied & (rank <= m), p, np.where(tied & (rank == m + 1.0), q, 0.0))
+        # + 0.0 keeps every zero weight +0.0 whatever the sign of x
+        u[on_ties] = np.copysign(weight, x[on_ties]) + 0.0
     return u
 
 

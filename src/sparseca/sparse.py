@@ -113,7 +113,7 @@ class SparsityConstraint:
             )
         raise InputError(f"unknown constraint mode {self.mode!r}")
 
-    def penalized_sides(self, shape: tuple) -> tuple:
+    def penalized_sides(self) -> tuple:
         """Which sides carry an active budget, as a subset of ("rows", "cols")."""
         if self.mode == "unpenalized_rows":
             return ("cols",)
@@ -148,12 +148,12 @@ def pmd_rank1(
     constraint: SparsityConstraint,
     max_iter: int = 200,
     tol: float = 1e-7,
-    start: np.ndarray | None = None,
 ) -> SparseFactor:
     """Penalized rank-1 fit of ``z`` by alternating L1 projections.
 
-    Starts from the leading right singular vector of ``z`` and
-    alternates ``u <- project(z v)``, ``v <- project(z' u)`` until the
+    Starts from the feasible projection of the leading right singular
+    vector of ``z``, taken from its Gram matrix (``linalg._leading_svd``),
+    and alternates ``u <- project(z v)``, ``v <- project(z' u)`` until the
     column weights move less than ``tol`` in the max norm. With both
     budgets at their upper bounds the projections are plain
     normalizations and the result is the leading singular triplet. The
@@ -167,12 +167,6 @@ def pmd_rank1(
         Budget specification. ``nonzero_target`` must be resolved first.
     max_iter, tol : int, float
         Iteration cap and convergence threshold on the column weights.
-    start : ndarray of shape (n_cols,), optional
-        The leading right singular vector of ``z``, as ``full_svd(z).V[:, 0]``
-        gives it. A search that fits many budgets to one matrix computes it
-        once and passes it to every fit; when omitted, the fit computes it
-        itself from the Gram matrix of ``z`` (``linalg._leading_svd``).
-        The fit starts from its feasible projection.
 
     Returns
     -------
@@ -183,26 +177,8 @@ def pmd_rank1(
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
-    inputs = _stack_inputs([constraint], z.shape, _warm_start(z, start))
+    inputs = _stack_inputs([constraint], z.shape, _leading_svd(z)[1][:, 0])
     return _sparse_factor(_rank1_stack(z, *inputs, max_iter, tol), constraint, 0)
-
-
-def _warm_start(z: np.ndarray, start) -> np.ndarray:
-    """The leading right singular vector of ``z``: the one given, checked,
-    or else computed from the Gram matrix of ``z``."""
-    if start is None:
-        return _leading_svd(z)[1][:, 0]
-    start = np.asarray(start, dtype=float)
-    if start.shape != (z.shape[1],):
-        raise InputError(
-            f"start vector of shape {start.shape} does not match "
-            f"{z.shape[1]} columns"
-        )
-    if not np.all(np.isfinite(start)):
-        raise InputError("start vector contains non-finite entries")
-    if not np.any(start):
-        raise DegenerateInputError("start vector is all zero")
-    return start
 
 
 def _sparse_factor(fit: "_StackFit", constraint: SparsityConstraint, member: int) -> SparseFactor:
@@ -303,17 +279,10 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
     change_out = np.empty(live.size)
     n_iter = np.empty(live.size, dtype=int)
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
-    free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
     objective = np.full(live.size, -np.inf)
     for step in range(1, max_iter + 1):
         zv = np.matmul(zs, v[..., None])[..., 0]
-        if free_rows:
-            norm = np.sqrt(np.matmul(zv[..., None, :], zv[..., :, None]))[..., 0, 0]
-            if np.count_nonzero(norm) < norm.size:
-                raise DegenerateInputError("row weights collapsed to zero")
-            u = zv / norm[..., None]
-        else:
-            u = _l1_project_rows(zv, bu)
+        u = _l1_project_rows(zv, bu)
         after_u = (u * zv).sum(axis=-1)
         # each half-step maximizes the bilinear form over a set that
         # contains the previous iterate
@@ -338,7 +307,6 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
             )
             if zs.ndim == 3:
                 zs, zts = zs[keep], zts[keep]
-            free_rows = np.count_nonzero(np.isinf(bu)) == bu.size
 
     u, v, change = u_out, v_out, change_out
     # sign convention: the largest-magnitude column weight is positive
@@ -482,12 +450,7 @@ class NnzSearchResult(NamedTuple):
     target_met: bool
 
 
-def nnz_target_search(
-    z: np.ndarray,
-    target: int,
-    axis: str = "cols",
-    start: np.ndarray | None = None,
-) -> NnzSearchResult:
+def nnz_target_search(z: np.ndarray, target: int, axis: str = "cols") -> NnzSearchResult:
     """Smallest grid budget whose fit keeps at least ``target`` weights.
 
     Walks a grid from 1 to the square root of the axis length in
@@ -495,10 +458,9 @@ def nnz_target_search(
     value with the other side unpenalized, and returns the first budget
     reaching ``target`` nonzeros on ``axis``. If no grid value reaches
     it, the closest achieving budget is returned with
-    ``target_met=False`` and a warning. Every fit warm-starts from
-    ``start``, the leading right singular vector of ``z`` (as
-    ``pmd_rank1`` takes it); it is computed once from the Gram matrix of
-    ``z`` when the caller does not supply it.
+    ``target_met=False`` and a warning. Every fit warm-starts from the
+    leading right singular vector of ``z``, as ``pmd_rank1`` does, taken
+    once for the whole walk.
 
     The walk fits ``NNZ_CHUNK`` (8) consecutive budgets at a time, as one
     stack over the one matrix ``z``, and stops after the first chunk that
@@ -506,10 +468,10 @@ def nnz_target_search(
     fits up to the hit warn when they do not converge, as a walk of
     single fits would.
     """
-    return _nnz_walk(z, target, axis, start, stacklevel=2)[0]
+    return _nnz_walk(z, target, axis, stacklevel=2)[0]
 
 
-def _nnz_walk(z, target, axis, start, stacklevel) -> tuple:
+def _nnz_walk(z, target, axis, stacklevel) -> tuple:
     """``nnz_target_search``, and the ``SparseFactor`` fitted at the budget
     it returns. ``stacklevel`` is counted from the caller, as in
     ``_warn_unconverged``."""
@@ -521,7 +483,6 @@ def _nnz_walk(z, target, axis, start, stacklevel) -> tuple:
     length = z.shape[0] if axis == "rows" else z.shape[1]
     if not 1 <= target <= length:
         raise InputError(f"target must be in [1, {length}], got {target}")
-    start = _warm_start(z, start)
     grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
     if axis == "cols":
         constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
@@ -529,7 +490,7 @@ def _nnz_walk(z, target, axis, start, stacklevel) -> tuple:
         constraints = [
             SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
         ]
-    budget_u, budget_v, starts = _stack_inputs(constraints, z.shape, start)
+    budget_u, budget_v, starts = _stack_inputs(constraints, z.shape, _leading_svd(z)[1][:, 0])
     best = None
     for lo in range(0, grid.size, NNZ_CHUNK):
         chunk = slice(lo, lo + NNZ_CHUNK)
@@ -744,18 +705,15 @@ def fit_sparse_ca(
     cumulative = []
     z_work = z0
     for constraint in constraints:
-        # one leading vector per deflated matrix warm-starts both the
-        # budget search and the dimension's fit
-        start = _leading_svd(z_work)[1][:, 0]
         # the nonzero-target walk fits a column target with unpenalized
         # rows and a row target with inactive column budgets, so its fit
         # at the found budget is the dimension's own; in a doubly-sparse
         # fit too, as a row budget of sqrt(n_rows) never binds
         if constraint.mode == "nonzero_target":
             count, axis = constraint.count, constraint.axis
-            factor = _nnz_walk(z_work, count, axis, start, stacklevel=1)[1]
+            factor = _nnz_walk(z_work, count, axis, stacklevel=1)[1]
         else:
-            factor = pmd_rank1(z_work, constraint, start=start)
+            factor = pmd_rank1(z_work, constraint)
         # the variance reported for a dimension is measured against the
         # original residual matrix, not the deflated one it was fitted on
         alpha = float(factor.u @ z0 @ factor.v)

@@ -104,22 +104,19 @@ class WeightPath:
 IS_ORIENTATIONS = ("tradeoff", "printed")
 
 
-def is_criterion(
-    z: np.ndarray,
-    factors,
-    total_params: int | None = None,
-    nnz_total: int | None = None,
-    orientation: str = "tradeoff",
-    full_fit: float | None = None,
-) -> float:
+def is_criterion(z: np.ndarray, factors, orientation: str = "tradeoff") -> float:
     """Index of sparsity for a set of fitted factors.
 
     The index multiplies a fit ratio by the squared fraction of zero
-    weights. The default "tradeoff" orientation divides the sparse fit
-    by the fit of the same number of plain SVD components, so the index
-    climbs only while zeros are cheap; the "printed" orientation
-    inverts the ratio. A factor set with no zero weights scores exactly
-    0 either way.
+    weights. The weights counted are those of each factor's penalized
+    sides (``SparsityConstraint.penalized_sides``), so an unpenalized row
+    vector adds neither entries nor zeros. The default "tradeoff"
+    orientation divides the sparse fit by the fit of the same number of
+    plain SVD components, ``explained_variance(z, V)`` with ``V`` the
+    leading right singular vectors of ``z`` from its Gram matrix
+    (``linalg._leading_svd``), so the index climbs only while zeros are
+    cheap; the "printed" orientation inverts the ratio. A factor set with
+    no zero weights scores exactly 0 either way.
 
     Parameters
     ----------
@@ -127,53 +124,34 @@ def is_criterion(
         The undeflated residual matrix the factors decompose.
     factors : sequence of SparseFactor
         Accumulated factors, earlier dimensions first.
-    total_params, nnz_total : int, optional
-        Weight-entry count and nonzero count over the penalized sides;
-        derived from the factors when omitted.
     orientation : str
         "tradeoff" (default) or "printed".
-    full_fit : float, optional
-        The reference fit: ``explained_variance(z, V)`` with ``V`` the first
-        ``k = len(factors)`` right singular vectors of ``z``, as
-        ``full_svd(z).V[:, :k]`` gives them. A grid search computes it once
-        for all its cells; when omitted it is computed here from the Gram
-        matrix of ``z`` (``linalg._leading_svd``).
     """
     factors = list(factors)
     if not factors:
         raise InputError("at least one factor is required")
-    return _sparsity_index(
-        np.asarray(z, dtype=float), factors, total_params, nnz_total, orientation, full_fit
-    )
+    return _sparsity_index(np.asarray(z, dtype=float), factors, orientation)
 
 
-def _sparsity_index(z, factors, total_params, nnz_total, orientation, full_fit, fit_sparse=None):
-    """``is_criterion`` of a nonempty factor list. ``fit_sparse`` is the
-    explained variance of the factors' column weights on ``z``; a grid
-    search passes the value it computed for the cell, otherwise it is
-    computed here."""
+def _sparsity_index(z, factors, orientation, full_fit=None, fit_sparse=None):
+    """``is_criterion`` of a nonempty factor list. A grid search passes
+    ``full_fit``, the reference fit it computed once for all its cells,
+    and ``fit_sparse``, the explained variance of the cell's column
+    weights on ``z``; either is computed here when omitted."""
     if orientation not in IS_ORIENTATIONS:
         raise InputError(
             f"orientation must be one of {IS_ORIENTATIONS}, got {orientation!r}"
         )
-    shape = z.shape
-    if total_params is None or nnz_total is None:
-        params = 0
-        nnz = 0
-        for factor in factors:
-            sides = factor.constraint.penalized_sides(shape)
-            if "rows" in sides:
-                params += shape[0]
-                nnz += factor.nnz_u
-            if "cols" in sides:
-                params += shape[1]
-                nnz += factor.nnz_v
-        if total_params is None:
-            total_params = params
-        if nnz_total is None:
-            nnz_total = nnz
-    if total_params <= 0:
-        raise InputError("total_params must be positive")
+    total_params = 0
+    nnz_total = 0
+    for factor in factors:
+        sides = factor.constraint.penalized_sides()
+        if "rows" in sides:
+            total_params += z.shape[0]
+            nnz_total += factor.nnz_u
+        if "cols" in sides:
+            total_params += z.shape[1]
+            nnz_total += factor.nnz_v
     zero_fraction = (total_params - nnz_total) / total_params
     if zero_fraction == 0.0:
         return 0.0
@@ -218,15 +196,13 @@ def residual_variance_estimate(
 
 
 def bic_criterion(
-    z: np.ndarray,
-    factor: SparseFactor,
-    sigma2_hat: float | None = None,
-    df: int | None = None,
+    z: np.ndarray, factor: SparseFactor, sigma2_hat: float | None = None
 ) -> float:
     """Bayesian information criterion for one rank-1 factor on ``z``.
 
     Scaled residual of the rank-1 reconstruction plus a model-size
-    penalty counting the surviving weights on the penalized sides.
+    penalty: the degrees of freedom are the surviving weights on the
+    factor's penalized sides (``SparsityConstraint.penalized_sides``).
     ``sigma2_hat`` defaults to the estimate from the unconstrained
     rank-1 fit of the same matrix, so it does not move with the budget.
     """
@@ -235,11 +211,8 @@ def bic_criterion(
         sigma2_hat = residual_variance_estimate(z)
     if sigma2_hat <= 0:
         raise InputError(f"sigma2_hat must be positive, got {sigma2_hat}")
-    if df is None:
-        sides = factor.constraint.penalized_sides(z.shape)
-        df = (factor.nnz_u if "rows" in sides else 0) + (
-            factor.nnz_v if "cols" in sides else 0
-        )
+    sides = factor.constraint.penalized_sides()
+    df = (factor.nnz_u if "rows" in sides else 0) + (factor.nnz_v if "cols" in sides else 0)
     alpha = float(factor.u @ z @ factor.v)
     residual = float(((z - alpha * np.outer(factor.u, factor.v)) ** 2).sum())
     n_cells = z.size
@@ -418,7 +391,7 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
         if criterion == "is":
-            value = _sparsity_index(z, chain, None, None, orientation, full_fit, fit)
+            value = _sparsity_index(z, chain, orientation, full_fit, fit)
         elif criterion == "bic":
             value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
         else:

@@ -269,6 +269,22 @@ def test_zero_inertia_table_is_validation_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sca", "--dims", "1", "--sumabs", "0.8"], ["paths"]],
+    ids=lambda argv: argv[0],
+)
+def test_tied_weights_keep_the_ascent(tmp_path, capsys, argv):
+    # columns b and c, and rows y and z, are interchangeable, so the
+    # projections meet entries tied at the maximum; each half-step must
+    # still raise u'Zv, or the fit stops with "rank-1 ascent broken"
+    path = tmp_path / "tied.csv"
+    path.write_text("id,a,b,c\nx,50,1,1\ny,1,1,1\nz,1,1,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 0
+    assert "ascent" not in capsys.readouterr().err
+
+
 class TestPathsCommand:
     def test_writes_weight_paths(self, small_csv, tmp_path, capsys):
         out = tmp_path / "out"

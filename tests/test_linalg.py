@@ -297,8 +297,41 @@ class TestL1ConstrainedUnitVector:
         np.testing.assert_allclose(u, np.array([1.0, -1.0, 1.0, 0.0]) / np.sqrt(3.0))
 
     def test_tied_maxima_fall_back_to_one_sparse(self):
+        # below sqrt(#ties) no threshold binds: the weight lies on the first
+        # floor(c^2) = 1 tie and the rest of the budget on the next one
         u = l1_constrained_unit_vector(np.ones(4), 1.2)
-        np.testing.assert_array_equal(u, [1.0, 0.0, 0.0, 0.0])
+        a = (1.2 + np.sqrt(2.0 - 1.2**2)) / 2.0
+        np.testing.assert_allclose(u, [a, 1.2 - a, 0.0, 0.0], rtol=0, atol=1e-15)
+        assert not np.signbit(u).any()
+
+    @pytest.mark.parametrize("n_ties", [2, 3, 5, 8])
+    def test_tie_row_reaches_budget_times_max(self, rng, n_ties):
+        # a unit vector with L1 norm c can reach at most c * max|x|; on the
+        # tied entries it does, for every c between 1 and sqrt(#ties)
+        for _ in range(40):
+            x = rng.uniform(-1.0, 1.0, size=12)
+            top = rng.choice(12, size=n_ties, replace=False)
+            x[top] = 2.0 * rng.choice([-1.0, 1.0], size=n_ties)
+            c = float(rng.uniform(1.0, np.sqrt(n_ties)))
+            u = l1_constrained_unit_vector(x, c)
+            assert x @ u == pytest.approx(2.0 * c, rel=1e-14)
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+            assert np.abs(u).sum() <= c * (1 + 1e-14)
+            assert np.count_nonzero(u) == np.floor(c * c) + 1
+            assert not np.signbit(u[u == 0.0]).any()
+
+    def test_tie_rows_in_a_stack_equal_single_calls(self, rng):
+        rows, budgets = [], []
+        for n_ties in (1, 2, 3, 4, 6):
+            for c in (1.0, 1.1, 1.5, np.sqrt(2.0), 1.9, 2.3):
+                x = rng.normal(size=9)
+                x[:n_ties] = -3.0 if n_ties % 2 else 3.0
+                rows.append(rng.permutation(x))
+                budgets.append(c)
+        x, c = np.array(rows), np.array(budgets)
+        stacked = _l1_project_rows(x, c)
+        for row, budget, got in zip(x, c, stacked):
+            np.testing.assert_array_equal(got, l1_constrained_unit_vector(row, budget))
 
     @settings(max_examples=60)
     @given(

@@ -1,11 +1,16 @@
-"""The public surface, spelled out: the package's exported names and
-each subcommand's arguments. A change to either is made on purpose, by
-editing the lists below."""
+"""The public surface, spelled out: the package's exported names, the
+parameters of the sparse fits and tuning criteria, and each subcommand's
+arguments. A change to any of them is made on purpose, by editing the
+lists below."""
 
 import argparse
+import inspect
 
 import sparseca
+import sparseca.sparse
+import sparseca.tuning
 from sparseca.cli import build_parser
+from sparseca.sparse import SparsityConstraint
 
 EXPORTS = [
     "CADecomposition",
@@ -59,6 +64,35 @@ EXPORTS = [
     "write_tables_csv",
 ]
 
+# parameter names of every public function defined in sparseca.sparse and
+# sparseca.tuning; warm starts, reference fits and weight counts are
+# computed from the inputs, so they are not parameters
+SIGNATURES = {
+    "sparseca.sparse": {
+        "column_sparse_coordinates": ["p", "r", "c", "a", "eigenvalue", "spread"],
+        "coordinates_from_weights": ["p", "r", "c", "u", "v", "eigenvalue"],
+        "explained_variance": ["z", "weight_columns"],
+        "fit_sparse_ca": ["table", "constraints", "n_dims", "variant", "col_scale"],
+        "nnz_target_search": ["z", "target", "axis"],
+        "pmd_rank1": ["z", "constraint", "max_iter", "tol"],
+        "ppmd_deflate": ["z", "factor"],
+    },
+    "sparseca.tuning": {
+        "bic_criterion": ["z", "factor", "sigma2_hat"],
+        "cv_error": ["z", "constraint", "folds", "holdout_fraction", "repeats", "seed",
+                     "sweeps"],
+        "default_absolute_grid": ["length", "points"],
+        "default_coupled_grid": ["shape", "step"],
+        "grid_search_1d": ["z", "grid", "criterion", "prior_factors", "orientation", "seed",
+                           "cv_repeats"],
+        "grid_search_2d": ["z", "grid_u", "grid_v", "criterion", "prior_factors",
+                           "orientation", "seed", "cv_repeats"],
+        "is_criterion": ["z", "factors", "orientation"],
+        "residual_variance_estimate": ["z", "singular_values"],
+        "weight_paths": ["z", "grid", "prior_factors"],
+    },
+}
+
 TABLE_ARGS = ["table", "--drop-empty", "--out-dir"]
 
 SUBCOMMANDS = {
@@ -79,6 +113,23 @@ def test_exports():
     assert sparseca.__all__ == EXPORTS
     for name in EXPORTS:
         assert hasattr(sparseca, name), name
+
+
+def parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
+def test_signatures():
+    for module in (sparseca.sparse, sparseca.tuning):
+        got = {
+            name: parameters(obj)
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj)
+            and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+        assert got == SIGNATURES[module.__name__], module.__name__
+    assert parameters(SparsityConstraint.penalized_sides) == ["self"]
 
 
 def test_subcommand_arguments():

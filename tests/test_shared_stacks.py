@@ -47,11 +47,7 @@ def large_z():
 
 def serial_weight_paths(z, grid, prior_factors=()):
     z_work = _deflate_through(z, prior_factors)
-    start = _leading_svd(z_work)[1][:, 0]
-    factors = [
-        pmd_rank1(z_work, SparsityConstraint.coupled(value), start=start)
-        for value in grid
-    ]
+    factors = [pmd_rank1(z_work, SparsityConstraint.coupled(value)) for value in grid]
     return np.array([f.u for f in factors]), np.array([f.v for f in factors])
 
 
@@ -60,22 +56,17 @@ def serial_evaluate_cells(
 ):
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
-    s, v = _leading_svd(z_work)
-    start = v[:, 0]
+    s = _leading_svd(z_work)[0]
     sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
-    full_fit = None
-    if criterion == "is":
-        reference = _leading_svd(z, len(prior_factors) + 1)[1] if prior_factors else v
-        full_fit = explained_variance(z, reference)
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
     results = []
     for i, constraint in enumerate(constraints):
-        factor = pmd_rank1(z_work, constraint, start=start)
+        factor = pmd_rank1(z_work, constraint)
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
         if criterion == "is":
-            value = is_criterion(z, chain, orientation=orientation, full_fit=full_fit)
+            value = is_criterion(z, chain, orientation=orientation)
         elif criterion == "bic":
             value = bic_criterion(z_work, factor, sigma2_hat=sigma2_hat)
         else:
@@ -86,7 +77,6 @@ def serial_evaluate_cells(
 
 def serial_nnz_target_search(z, target, axis="cols"):
     length = z.shape[0] if axis == "rows" else z.shape[1]
-    start = _leading_svd(z)[1][:, 0]
     grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
     best = None
     for value in grid:
@@ -94,7 +84,7 @@ def serial_nnz_target_search(z, target, axis="cols"):
             constraint = SparsityConstraint.unpenalized_rows(value)
         else:
             constraint = SparsityConstraint.absolute(value, np.sqrt(z.shape[1]))
-        factor = pmd_rank1(z, constraint, start=start)
+        factor = pmd_rank1(z, constraint)
         nnz = factor.nnz_v if axis == "cols" else factor.nnz_u
         if nnz >= target:
             return NnzSearchResult(float(value), nnz, True)

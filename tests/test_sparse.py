@@ -69,13 +69,8 @@ class TestSparsityConstraint:
             SparsityConstraint.nonzero_target(0, "cols")
 
     def test_penalized_sides(self):
-        assert SparsityConstraint.coupled(0.6).penalized_sides((9, 9)) == (
-            "rows",
-            "cols",
-        )
-        assert SparsityConstraint.unpenalized_rows(1.5).penalized_sides((9, 9)) == (
-            "cols",
-        )
+        assert SparsityConstraint.coupled(0.6).penalized_sides() == ("rows", "cols")
+        assert SparsityConstraint.unpenalized_rows(1.5).penalized_sides() == ("cols",)
 
 
 class TestPmdRank1:
@@ -201,43 +196,6 @@ class TestPmdRank1:
         )
         with pytest.raises(SparseCAError, match="negative u'Zv"):
             pmd_rank1(rng.normal(size=(8, 6)), SparsityConstraint.absolute(2.0, 2.0))
-
-
-    def test_supplied_start_is_bit_identical(self, rng):
-        z = rng.normal(size=(9, 7))
-        for constraint in (
-            SparsityConstraint.coupled(0.6),
-            SparsityConstraint.unpenalized_rows(1.4),
-            inactive(z.shape),
-        ):
-            own = pmd_rank1(z, constraint)
-            given = pmd_rank1(z, constraint, start=_leading_svd(z)[1][:, 0])
-            np.testing.assert_array_equal(given.u, own.u)
-            np.testing.assert_array_equal(given.v, own.v)
-            assert (given.alpha, given.n_iter) == (own.alpha, own.n_iter)
-
-    def test_supplied_start_skips_the_svd(self, rng, svd_calls):
-        z = rng.normal(size=(9, 7))
-        start = np.linalg.svd(z)[2][0]
-        pmd_rank1(z, SparsityConstraint.coupled(0.6), start=start)
-        assert svd_calls == []
-
-    @pytest.mark.parametrize(
-        "start, error",
-        [
-            (np.ones(5), InputError),
-            (np.ones((6, 1)), InputError),
-            (np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0]), InputError),
-            (np.array([1.0, np.inf, 0.0, 0.0, 0.0, 0.0]), InputError),
-            (np.zeros(6), DegenerateInputError),
-        ],
-        ids=["short", "column", "nan", "inf", "all zero"],
-    )
-    def test_bad_start_rejected(self, rng, start, error):
-        z = rng.normal(size=(8, 6))
-        with pytest.raises(InputError, match="start") as info:
-            pmd_rank1(z, SparsityConstraint.coupled(0.7), start=start)
-        assert type(info.value) is error
 
 
 def _stack_inputs(z, constraints):
@@ -506,13 +464,6 @@ class TestNnzTargetSearch:
         assert result.value > 2.0
         assert svd_calls == [(12, 30)]
 
-    def test_supplied_start_gives_the_same_budget(self, rng, svd_calls):
-        z = rng.normal(size=(12, 30))
-        own = nnz_target_search(z, 20, axis="cols")
-        given = nnz_target_search(z, 20, axis="cols", start=_leading_svd(z)[1][:, 0])
-        assert given == own
-        assert len(svd_calls) == 1
-
     def test_bad_target(self, rng):
         z = rng.normal(size=(6, 5))
         with pytest.raises(InputError):
@@ -715,7 +666,7 @@ class TestFitSparseCa:
         assert len(calls) == refits
         z = model.residuals
         for factor in model.factors:
-            own = real(z, factor.constraint, start=_leading_svd(z)[1][:, 0])
+            own = real(z, factor.constraint)
             np.testing.assert_array_equal(factor.v, own.v)
             sign = 1.0 if np.array_equal(factor.u, own.u) else -1.0
             np.testing.assert_array_equal(factor.u, sign * own.u)

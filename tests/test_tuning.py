@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparseca.errors import InputError
-from sparseca.linalg import _leading_svd, full_svd, l1_constrained_unit_vector
+from sparseca.linalg import full_svd, l1_constrained_unit_vector
 from sparseca.sparse import (
     SparsityConstraint,
     explained_variance,
@@ -61,13 +61,16 @@ class TestIsCriterion:
         assert tradeoff * printed == pytest.approx(frac**4, rel=1e-10)
 
     def test_matches_explicit_counts(self, rng):
+        # unpenalized rows add neither entries nor zeros: only the 6
+        # column weights are counted
         z = rng.normal(size=(8, 6))
         factor = pmd_rank1(z, SparsityConstraint.unpenalized_rows(1.4))
-        auto = is_criterion(z, [factor])
-        explicit = is_criterion(
-            z, [factor], total_params=6, nnz_total=factor.nnz_v
-        )
-        assert auto == pytest.approx(explicit, abs=1e-14)
+        frac = (6 - factor.nnz_v) / 6
+        assert frac > 0
+        fit_sparse = explained_variance(z, factor.v[:, None])
+        fit_full = explained_variance(z, full_svd(z).V[:, :1])
+        expected = fit_sparse / fit_full * frac**2
+        assert is_criterion(z, [factor]) == pytest.approx(expected, rel=1e-12)
 
     def test_accumulates_over_dimensions(self, rng):
         z = rng.normal(size=(9, 7))
@@ -79,17 +82,6 @@ class TestIsCriterion:
         zeros = (9 - f1.nnz_u) + (7 - f1.nnz_v) + (9 - f2.nnz_u) + (7 - f2.nnz_v)
         expected = fit_sparse / fit_full * (zeros / 32) ** 2
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_supplied_full_fit_is_used(self, rng):
-        z = rng.normal(size=(9, 7))
-        factor = pmd_rank1(z, SparsityConstraint.coupled(0.6))
-        reference = explained_variance(z, _leading_svd(z)[1])
-        assert is_criterion(z, [factor], full_fit=reference) == is_criterion(
-            z, [factor]
-        )
-        assert is_criterion(z, [factor], full_fit=2 * reference) == pytest.approx(
-            is_criterion(z, [factor]) / 2, rel=1e-12
-        )
 
     def test_validation(self, rng):
         z = rng.normal(size=(5, 4))
@@ -126,9 +118,13 @@ class TestBicCriterion:
     def test_df_counts_penalized_sides_only(self, rng):
         z = rng.normal(size=(8, 6))
         factor = pmd_rank1(z, SparsityConstraint.unpenalized_rows(1.4))
-        auto = bic_criterion(z, factor, sigma2_hat=1.0)
-        explicit = bic_criterion(z, factor, sigma2_hat=1.0, df=factor.nnz_v)
-        assert auto == pytest.approx(explicit, abs=1e-14)
+        # the 8 unpenalized row weights are all nonzero, yet only the
+        # surviving column weights count as degrees of freedom
+        assert factor.nnz_u == 8 and factor.nnz_v < 6
+        alpha = factor.u @ z @ factor.v
+        residual = ((z - alpha * np.outer(factor.u, factor.v)) ** 2).sum()
+        expected = residual / 48 + np.log(48) / 48 * factor.nnz_v
+        assert bic_criterion(z, factor, sigma2_hat=1.0) == pytest.approx(expected, abs=1e-14)
 
     def test_variance_estimate_formula(self, rng):
         z = rng.normal(size=(9, 6))

@@ -128,5 +128,5 @@ def test_nonzero_walk_names_the_budget_search(all_capped):
     assert hit >= 1 and len(lines) == hit + 1
     assert set(lines) == {(
         sparseca.sparse.__file__,
-        "factor = _nnz_walk(z_work, count, axis, start, stacklevel=1)[1]",
+        "factor = _nnz_walk(z_work, count, axis, stacklevel=1)[1]",
     )}
