@@ -197,9 +197,16 @@ def _sca_constraints(args, shape):
 
 
 def _prior_factors(z, after):
+    after = after or []
+    max_dims = min(z.shape) - 1  # the tuned dimension comes after the fixed ones
+    if len(after) + 1 > max_dims:
+        raise InputError(
+            f"--after fixes {len(after)} dimensions, so the tuned one would be "
+            f"dimension {len(after) + 1}; this table has at most {max_dims}"
+        )
     factors = []
     z_work = z
-    for budget in after or []:
+    for budget in after:
         factor = pmd_rank1(z_work, SparsityConstraint.coupled(budget))
         factors.append(factor)
         z_work = ppmd_deflate(z_work, factor)

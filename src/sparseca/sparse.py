@@ -1,13 +1,15 @@
 """Sparse correspondence analysis via penalized rank-1 decomposition.
 
 Each dimension solves ``max u' Z v`` over unit vectors with L1 budgets
-on one or both sides, by alternating soft-thresholded projections. The
-fitted direction is removed from the working matrix with a two-sided
+on one or both sides, by alternating soft-thresholded projections in
+the one loop that every fit and search runs through (``_rank1_fits``).
+The fitted direction is removed from the working matrix with a two-sided
 projection before the next dimension is extracted, which keeps later
 weight vectors nearly orthogonal to earlier ones even though sparsity
 breaks exact orthogonality.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,7 +82,8 @@ class SparsityConstraint:
         ``nonzero_target`` constraint has no budget until resolved.
         """
         n_rows, n_cols = shape
-        lim_u, lim_v = np.sqrt(n_rows), np.sqrt(n_cols)
+        # as np.sqrt rounds, at a tenth of its cost: the loop takes one per member
+        lim_u, lim_v = np.float64(math.sqrt(n_rows)), np.float64(math.sqrt(n_cols))
         if self.mode == "absolute":
             if self.sumabsu is None or self.sumabsv is None:
                 raise InputError("absolute mode needs both sumabsu and sumabsv")
@@ -157,7 +160,8 @@ def pmd_rank1(
     column weights move less than ``tol`` in the max norm. With both
     budgets at their upper bounds the projections are plain
     normalizations and the result is the leading singular triplet. The
-    fit runs as a stack of one member in the loop the searches share.
+    fit is a stack of one member of the loop every fit and search shares
+    (``_rank1_fits``), which takes that warm start itself.
 
     Parameters
     ----------
@@ -177,43 +181,13 @@ def pmd_rank1(
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
-    inputs = _stack_inputs([constraint], z.shape, _leading_svd(z)[1][:, 0])
-    return _sparse_factor(_rank1_stack(z, *inputs, max_iter, tol), constraint, 0)
-
-
-def _sparse_factor(fit: "_StackFit", constraint: SparsityConstraint, member: int) -> SparseFactor:
-    """The ``SparseFactor`` of one member of a stacked fit."""
-    u, v, alpha = fit.u[member], fit.v[member], float(fit.alpha[member])
-    return SparseFactor(
-        u=u,
-        v=v,
-        alpha=alpha,
-        eigenvalue=alpha**2,
-        nnz_u=int(np.count_nonzero(u)),
-        nnz_v=int(np.count_nonzero(v)),
-        constraint=constraint,
-        converged=bool(fit.converged[member]),
-        n_iter=int(fit.n_iter[member]),
-    )
-
-
-def _budget_arrays(constraints, shape: tuple) -> tuple:
-    """Row and column budgets of a stack with one member per constraint;
-    unpenalized rows get an infinite row budget."""
-    budgets = [c.budgets(shape) for c in constraints]
-    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
-    return budget_u, np.array([bv for _, bv in budgets])
-
-
-def _stack_inputs(constraints, shape: tuple, start: np.ndarray) -> tuple:
-    """Row budgets, column budgets and warm starts of a stack over one
-    matrix of ``shape``, with one member per constraint, each starting
-    from ``start``."""
-    return (*_budget_arrays(constraints, shape), np.tile(start, (len(constraints), 1)))
+    fit = _rank1_fits(z, [constraint], max_iter=max_iter, tol=tol)
+    _warn_unconverged(fit, stacklevel=2)
+    return fit.factor(0, constraint)
 
 
 class _StackFit(NamedTuple):
-    """Rank-1 fits of ``_rank1_stack``, with one entry per member;
+    """Rank-1 fits of ``_rank1_fits``, with one entry per member;
     ``change`` is each member's last column-weight change."""
 
     u: np.ndarray
@@ -223,43 +197,49 @@ class _StackFit(NamedTuple):
     n_iter: np.ndarray
     change: np.ndarray
 
+    def factor(self, member: int, constraint: SparsityConstraint) -> SparseFactor:
+        """The ``SparseFactor`` of one member, fitted under ``constraint``."""
+        u, v, alpha = self.u[member], self.v[member], float(self.alpha[member])
+        return SparseFactor(
+            u=u,
+            v=v,
+            alpha=alpha,
+            eigenvalue=alpha**2,
+            nnz_u=int(np.count_nonzero(u)),
+            nnz_v=int(np.count_nonzero(v)),
+            constraint=constraint,
+            converged=bool(self.converged[member]),
+            n_iter=int(self.n_iter[member]),
+        )
 
-def _rank1_stack(
-    z: np.ndarray,
-    budget_u: np.ndarray,
-    budget_v: np.ndarray,
-    start: np.ndarray,
-    max_iter: int = 200,
-    tol: float = 1e-7,
-) -> _StackFit:
-    """The alternating loop of ``pmd_rank1``, for a stack of fits.
 
-    A stack of B members has ``budget_u``, ``budget_v`` of shape (B,) and
-    ``start`` of shape (B, m); ``z`` is a stack of shape (B, n, m), or one
-    matrix of shape (n, m) that every member fits under its own budgets.
-    An infinite row budget means unpenalized rows. Members are
-    independent: each one stops at its own first column-weight change
-    below ``tol`` and ends with the weights, iteration count and checks
-    its own fit would give, to the last bit. A shared matrix is never
-    copied per member: the products broadcast it, one matrix-vector
-    product per member as in a single fit, and members that stop are
-    dropped from the budgets and iterates only.
+def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit:
+    """The alternating loop of ``pmd_rank1``, for a stack of fits with one
+    member per constraint.
+
+    ``z`` is a stack of shape (B, n, m), or one matrix of shape (n, m)
+    that every member fits; the budgets are taken over (n, m), and
+    unpenalized rows get an infinite row budget. ``start`` defaults to the
+    leading right singular vector of ``z``, or of each member of a stack
+    (``linalg._leading_svd``). A start of shape (m,) is broadcast over the
+    members, and a shared matrix too: neither is copied per member.
+    Members are independent: each one stops at its own first
+    column-weight change below ``tol`` and ends with the weights,
+    iteration count and checks its own fit would give, to the last bit;
+    members that stop are dropped from the budgets and iterates only.
 
     Cross-validation fits the folds and grid cells of a sweep as a stack
     of matrices; ``weight_paths``, the grid searches and
     ``nnz_target_search`` fit their budgets of one matrix as a
-    shared-matrix stack; ``pmd_rank1`` is a stack of one member. Each
-    member that stops at ``max_iter`` gets a warning; ``_rank1_fits`` is
-    the loop without them.
+    shared-matrix stack; ``pmd_rank1`` is a stack of one member. The loop
+    never warns: each caller warns for the members it uses that stopped
+    at ``max_iter`` (``_warn_unconverged``).
     """
-    fit = _rank1_fits(z, budget_u, budget_v, start, max_iter, tol)
-    _warn_unconverged(fit, stacklevel=3)
-    return fit
-
-
-def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackFit:
-    """``_rank1_stack`` without the warnings, for a caller that uses only
-    some members and warns for those (see ``_warn_unconverged``)."""
+    if start is None:
+        start = _leading_svd(z)[1][..., 0]
+    budgets = [c.budgets(z.shape[-2:]) for c in constraints]
+    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
+    budget_v = np.array([bv for _, bv in budgets])
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
     if not np.isfinite(z).all():
@@ -270,7 +250,8 @@ def _rank1_fits(z, budget_u, budget_v, start, max_iter=200, tol=1e-7) -> _StackF
     # the raw leading singular vector can exceed the L1 budget, so warm
     # start from its feasible projection; with an inactive budget this is
     # the singular vector itself
-    v = _l1_project_rows(start, budget_v)
+    starts = np.broadcast_to(start, (budget_v.size, z.shape[-1]))
+    v = _l1_project_rows(starts, budget_v)
     # members still iterating; a stack is compacted when some stop, and
     # each member that stops is written to its own row of the results
     live = np.arange(budget_v.size)
@@ -463,10 +444,10 @@ def nnz_target_search(z: np.ndarray, target: int, axis: str = "cols") -> NnzSear
     once for the whole walk.
 
     The walk fits ``NNZ_CHUNK`` (8) consecutive budgets at a time, as one
-    stack over the one matrix ``z``, and stops after the first chunk that
-    holds a hit. Each fit equals its own ``pmd_rank1`` fit, and only the
-    fits up to the hit warn when they do not converge, as a walk of
-    single fits would.
+    stack over the one matrix ``z`` and the one warm start, and stops
+    after the first chunk that holds a hit. Each fit equals its own
+    ``pmd_rank1`` fit, and only the fits up to the hit warn when they do
+    not converge, as a walk of single fits would.
     """
     return _nnz_walk(z, target, axis, stacklevel=2)[0]
 
@@ -490,24 +471,23 @@ def _nnz_walk(z, target, axis, stacklevel) -> tuple:
         constraints = [
             SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
         ]
-    budget_u, budget_v, starts = _stack_inputs(constraints, z.shape, _leading_svd(z)[1][:, 0])
+    start = _leading_svd(z)[1][:, 0]
     best = None
     for lo in range(0, grid.size, NNZ_CHUNK):
-        chunk = slice(lo, lo + NNZ_CHUNK)
-        fit = _rank1_fits(z, budget_u[chunk], budget_v[chunk], starts[chunk])
+        fit = _rank1_fits(z, constraints[lo : lo + NNZ_CHUNK], start)
         nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
         hits = np.flatnonzero(nnz >= target)
         if hits.size:
             i = hits[0]
             _warn_unconverged(fit, stacklevel + 1, count=i + 1)
             found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), True)
-            return found, _sparse_factor(fit, constraints[lo + i], i)
+            return found, fit.factor(i, constraints[lo + i])
         _warn_unconverged(fit, stacklevel + 1)
         # the first of the chunk's largest counts, as a walk of single fits finds it
         i = int(nnz.argmax())
         if best is None or nnz[i] > best[0].nnz:
             found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), False)
-            best = found, _sparse_factor(fit, constraints[lo + i], i)
+            best = found, fit.factor(i, constraints[lo + i])
     warnings.warn(
         f"no grid budget reaches {target} nonzero {axis} weights; "
         f"closest is {best[0].nnz} at {best[0].value:.6g}",

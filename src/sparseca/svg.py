@@ -406,15 +406,18 @@ def _render_contour(result, spec):
 
 
 def _leaf_order(merges, n_leaves):
-    def leaves(node):
-        if node < n_leaves:
-            return [node]
-        a, b, _h = merges[node - n_leaves]
-        return leaves(a) + leaves(b)
-
     if not merges:
         return list(range(n_leaves))
-    return leaves(n_leaves + len(merges) - 1)
+    # left child first, on an explicit stack: a chain is as deep as it is long
+    order, stack = [], [n_leaves + len(merges) - 1]
+    while stack:
+        node = stack.pop()
+        if node < n_leaves:
+            order.append(node)
+        else:
+            a, b, _h = merges[node - n_leaves]
+            stack += [b, a]
+    return order
 
 
 def _render_dendrogram(dendrogram, spec):

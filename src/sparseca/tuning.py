@@ -15,16 +15,17 @@ vectors of the undeflated matrix, which is a second eigendecomposition
 only when earlier dimensions were deflated out. No search takes a full
 thin SVD. The cells' rank-1 fits then run as one stack over that
 one matrix, which every member shares rather than copies: a grid search
-or a weight path fits all its budgets in one alternating loop (the
-nonzero-target search in ``sparse`` walks its grid 8 budgets at a time
-the same way), and each member equals its own ``pmd_rank1`` fit.
+or a weight path fits all its budgets in one call of the alternating
+loop, ``sparse._rank1_fits`` (the nonzero-target search walks its grid
+8 budgets at a time the same way), and each member equals its own
+``pmd_rank1`` fit.
 
 Cross-validation refits every fold for a fixed number of sweeps, and the
 folds and cells of a search are independent, so each sweep fits them as
-one stack: one stacked eigendecomposition of the Gram matrices of all
-refilled matrices gives the warm starts, and one stacked rank-1 loop
-fits them, each member exactly as its own fit would. The stack is cut into chunks of at most
-``CV_STACK_ENTRIES`` (2**17) matrix entries.
+one stack: one call of the loop warm-starts every member from one
+stacked eigendecomposition of the Gram matrices of all refilled matrices
+and fits it exactly as its own fit would. The stack is cut into chunks
+of at most ``CV_STACK_ENTRIES`` (2**17) matrix entries.
 """
 
 import itertools
@@ -32,15 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
 from .linalg import _leading_svd
 from .sparse import (
     SparseFactor,
     SparsityConstraint,
-    _budget_arrays,
-    _rank1_stack,
-    _sparse_factor,
-    _stack_inputs,
+    _rank1_fits,
+    _warn_unconverged,
     explained_variance,
     ppmd_deflate,
 )
@@ -176,7 +175,10 @@ def residual_variance_estimate(
     ``full_svd(z).s`` gives them; a grid search passes the ones its Gram
     eigendecomposition already gave. When omitted they are computed here
     the same way (``linalg._leading_svd``), so the residual is the sum of
-    all but the largest eigenvalue of the Gram matrix.
+    all but the largest eigenvalue of the Gram matrix. A nonzero matrix
+    whose residual is at most 1e-14 times the largest eigenvalue (the
+    scale of ``ca.contributions``' degenerate axes) is rank 1 to
+    roundoff and leaves the BIC no scale: ``DegenerateInputError``.
     """
     z = np.asarray(z, dtype=float)
     n_cells = z.size
@@ -192,6 +194,11 @@ def residual_variance_estimate(
                 f"{sigma.shape} singular values for a matrix of shape {z.shape}"
             )
     residual = float((sigma[1:] ** 2).sum())
+    # a zero matrix is left to the fits, which reject it themselves
+    if sigma[0] > 0.0 and residual <= 1e-14 * sigma[0] ** 2:
+        raise DegenerateInputError(
+            "no residual variance beyond the first dimension: the BIC has no scale"
+        )
     return residual / (n_cells - df_full)
 
 
@@ -238,10 +245,10 @@ def cv_error(
     and therefore the same error. The folds of a repeat are disjoint,
     so ``holdout_fraction * folds`` may not exceed 1 (``InputError``).
 
-    All folds and repeats run as one stack: each sweep takes one stacked
-    eigendecomposition of the refilled matrices' Gram matrices for the
-    warm starts and one stacked rank-1 fit, and a grid search stacks its
-    cells too (see ``CV_STACK_ENTRIES``). Each member gets the numbers
+    All folds and repeats run as one stack: each sweep is one stacked
+    rank-1 fit, warm-started from one stacked eigendecomposition of the
+    refilled matrices' Gram matrices, and a grid search stacks its cells
+    too (see ``CV_STACK_ENTRIES``). Each member gets the numbers
     its own fit would give, so a grid search's value for a cell equals
     this function's value for that cell's constraint.
     """
@@ -263,11 +270,10 @@ def _cv_errors(
 
     Every constraint draws the same folds from ``seed``, so the masks are
     built once, and the refilled matrices of all constraints, repeats and
-    folds form one stack per sweep: one stacked Gram eigendecomposition
-    gives every member's warm start and one stacked rank-1 loop fits them
-    all. The stack is cut into chunks of at most ``CV_STACK_ENTRIES``
-    matrix entries (at least one matrix per chunk), which bounds the
-    memory a large table takes.
+    folds form one stack per sweep, which one call of the rank-1 loop
+    fits, warm-started from one stacked Gram eigendecomposition. Chunks of
+    at most ``CV_STACK_ENTRIES`` matrix entries (at least one matrix per
+    chunk) bound the memory a large table takes.
     """
     if folds < 1 or repeats < 1:
         raise InputError(f"folds and repeats must be at least 1, got {folds} and {repeats}")
@@ -299,7 +305,9 @@ def _cv_errors(
         for fold in range(folds):
             masks[r * folds + fold, order[fold * holdout : (fold + 1) * holdout]] = True
     masks = masks.reshape(-1, *z.shape)
-    budget_u, budget_v = _budget_arrays(constraints, z.shape)
+    # a bad budget is rejected before any chunk is fitted
+    for constraint in constraints:
+        constraint.budgets(z.shape)
 
     # member i is fold i % len(masks) of constraint i // len(masks)
     n_members = len(constraints) * len(masks)
@@ -308,11 +316,11 @@ def _cv_errors(
     for lo in range(0, n_members, per_chunk):
         members = np.arange(lo, min(lo + per_chunk, n_members))
         mask = masks[members % len(masks)]
-        cell = members // len(masks)
+        cells = [constraints[i] for i in members // len(masks)]
         filled = np.where(mask, 0.0, z)
         for _ in range(sweeps):
-            start = _leading_svd(filled)[1][:, :, 0]
-            fit = _rank1_stack(filled, budget_u[cell], budget_v[cell], start)
+            fit = _rank1_fits(filled, cells)
+            _warn_unconverged(fit, stacklevel=2)
             reconstruction = fit.alpha[:, None, None] * (
                 fit.u[:, :, None] * fit.v[:, None, :]
             )
@@ -375,7 +383,6 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
     s, v = _leading_svd(z_work)
-    start = v[:, 0]
     sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
     full_fit = None
     if criterion == "is":
@@ -384,10 +391,11 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
 
-    stack = _rank1_stack(z_work, *_stack_inputs(constraints, z_work.shape, start))
+    stack = _rank1_fits(z_work, constraints, v[:, 0])
+    _warn_unconverged(stack, stacklevel=2)
     results = []
     for i, constraint in enumerate(constraints):
-        factor = _sparse_factor(stack, constraint, i)
+        factor = stack.factor(i, constraint)
         chain = prior_factors + [factor]
         fit = explained_variance(z, np.column_stack([f.v for f in chain]))
         if criterion == "is":
@@ -494,17 +502,17 @@ def weight_paths(z: np.ndarray, grid=None, prior_factors=()) -> WeightPath:
     path plots.
 
     All grid values are fitted as one stack over the one deflated matrix,
-    warm-started from its leading right singular vector; each path entry equals that value's
-    own ``pmd_rank1`` fit.
+    warm-started from its leading right singular vector; each path entry
+    equals that value's own ``pmd_rank1`` fit.
     """
     z = np.asarray(z, dtype=float)
     if grid is None:
         grid = default_coupled_grid(z.shape)
     grid = _increasing_grid(grid)
     z_work = _deflate_through(z, prior_factors)
-    start = _leading_svd(z_work)[1][:, 0]
     constraints = [SparsityConstraint.coupled(value) for value in grid]
-    stack = _rank1_stack(z_work, *_stack_inputs(constraints, z_work.shape, start))
+    stack = _rank1_fits(z_work, constraints)
+    _warn_unconverged(stack, stacklevel=2)
     u_path, v_path = stack.u, stack.v
     zeros = (u_path == 0).sum(axis=1) + (v_path == 0).sum(axis=1)
     zero_fraction = zeros / (z.shape[0] + z.shape[1])

@@ -28,6 +28,42 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def mark_unconverged(monkeypatch):
+    """Make the rank-1 loop (``sparse._rank1_fits``) report members as
+    stopped at the iteration cap, leaving the fitted numbers as they are.
+
+    ``mark_unconverged()`` marks every member of every stack;
+    ``mark_unconverged({member: change})`` marks the given members, each
+    with the last column-weight change its warning reports.
+    """
+    from sparseca.sparse import _rank1_fits
+
+    def mark(changes=None):
+        def capped(*args, **kwargs):
+            fit = _rank1_fits(*args, **kwargs)
+            if changes is None:
+                return fit._replace(converged=np.zeros_like(fit.converged))
+            converged, change = fit.converged.copy(), fit.change.copy()
+            for member, last in changes.items():
+                converged[member], change[member] = False, last
+            return fit._replace(converged=converged, change=change)
+
+        for module in ("sparseca.sparse", "sparseca.tuning"):
+            monkeypatch.setattr(f"{module}._rank1_fits", capped)
+
+    return mark
+
+
+# tables whose residual matrix is rank 1: exactly, or to roundoff
+# (residual variances of 2.5e-18 and 7.6e-18 after the first dimension)
+BIC_WITHOUT_RESIDUAL = [
+    [[50, 1, 1], [1, 1, 1], [1, 1, 1]],
+    [[50, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
+    [[7, 1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]],
+]
+
+
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     """Shrink ``x`` toward zero by ``t``, clipping at zero."""
     return np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from sparseca.cli import main
+from sparseca.datasets import colors_of_music
+from sparseca.io import write_contingency_csv
 
-from conftest import random_table
+from conftest import BIC_WITHOUT_RESIDUAL, random_table
 
 
 @pytest.fixture
@@ -283,6 +285,38 @@ def test_tied_weights_keep_the_ascent(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 0
     assert "ascent" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "paths"])
+def test_after_past_the_last_dimension_is_validation_error(tmp_path, capsys, command):
+    # music is 10x9, so it has at most 8 dimensions: 7 fixed ones
+    # leave the 8th to tune, 8 leave none
+    path = tmp_path / "music.csv"
+    write_contingency_csv(colors_of_music(), path)
+    for n_after, expected in ((8, 2), (7, 0)):
+        out = tmp_path / f"out{n_after}"
+        extra = ["--step", "0.2"] if command == "tune" else []
+        code = main([
+            command, str(path), *["--after", "1.0"] * n_after, *extra,
+            "--out-dir", str(out),
+        ])
+        assert code == expected
+        if expected == 2:
+            assert "at most 8" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid-2d"]], ids=["1d", "2d"])
+@pytest.mark.parametrize("rows", BIC_WITHOUT_RESIDUAL, ids=["exact", "wide", "tall"])
+def test_bic_without_residual_variance_is_validation_error(tmp_path, capsys, grid, rows):
+    path = tmp_path / "rank1.csv"
+    header = "id," + ",".join(f"c{j}" for j in range(len(rows[0])))
+    lines = [header] + [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["tune", str(path), "--criterion", "bic", *grid, "--out-dir", str(out)]) == 2
+    assert "no residual variance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPathsCommand:

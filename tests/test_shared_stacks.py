@@ -8,15 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-import sparseca.sparse
 from sparseca.linalg import _leading_svd
 from sparseca.sparse import (
     NNZ_CHUNK,
     NNZ_GRID_STEP,
     NnzSearchResult,
     SparsityConstraint,
-    _budget_arrays,
-    _rank1_stack,
+    _rank1_fits,
     nnz_target_search,
     pmd_rank1,
     ppmd_deflate,
@@ -120,12 +118,7 @@ class TestSharedMatrixStack:
 
     def test_members_equal_their_own_fits(self):
         z = np.random.default_rng(3).normal(size=(8, 7))
-        start = _leading_svd(z)[1][:, 0]
-        stack = _rank1_stack(
-            z,
-            *_budget_arrays(self.constraints, z.shape),
-            np.tile(start, (len(self.constraints), 1)),
-        )
+        stack = _rank1_fits(z, self.constraints)
         for i, constraint in enumerate(self.constraints):
             own = pmd_rank1(z, constraint)
             np.testing.assert_array_equal(stack.u[i], own.u)
@@ -295,31 +288,22 @@ class TestNnzWalkMatchesSerial:
 class TestNnzWalkWarnings:
     """Only the fits a walk of single fits would have made may warn."""
 
-    def walk_with_unconverged(self, monkeypatch, changes):
+    def walk_with_unconverged(self, mark_unconverged, changes):
         # target 6 is first reached at grid index 5, inside the first
         # chunk; ``changes`` maps the members made to look capped to the
         # last change their warning reports
         z = np.random.default_rng(2).normal(size=(12, 30))
-        real = sparseca.sparse._rank1_fits
-
-        def capped(*args, **kwargs):
-            fit = real(*args, **kwargs)
-            converged, change = fit.converged.copy(), fit.change.copy()
-            for member, last in changes.items():
-                converged[member], change[member] = False, last
-            return fit._replace(converged=converged, change=change)
-
-        monkeypatch.setattr("sparseca.sparse._rank1_fits", capped)
+        mark_unconverged(changes)
         return messages_of(nnz_target_search, z, 6)
 
-    def test_members_after_the_hit_do_not_warn(self, monkeypatch):
+    def test_members_after_the_hit_do_not_warn(self, mark_unconverged):
         assert NNZ_CHUNK == 8
-        result, messages = self.walk_with_unconverged(monkeypatch, {6: 0.5, 7: 0.5})
+        result, messages = self.walk_with_unconverged(mark_unconverged, {6: 0.5, 7: 0.5})
         assert result.value == pytest.approx(2.0) and result.target_met
         assert messages == []
 
-    def test_members_up_to_the_hit_warn_in_grid_order(self, monkeypatch):
-        _, messages = self.walk_with_unconverged(monkeypatch, {5: 0.5, 1: 0.25, 7: 1.0})
+    def test_members_up_to_the_hit_warn_in_grid_order(self, mark_unconverged):
+        _, messages = self.walk_with_unconverged(mark_unconverged, {5: 0.5, 1: 0.25, 7: 1.0})
         assert len(messages) == 2
         assert "did not converge in" in messages[0]
         assert "(last column-weight change 2.50e-01)" in messages[0]

@@ -10,7 +10,8 @@ from sparseca.errors import DegenerateInputError, InputError, SparseCAError
 from sparseca.linalg import _leading_svd, full_svd
 from sparseca.sparse import (
     SparsityConstraint,
-    _rank1_stack,
+    _rank1_fits,
+    _warn_unconverged,
     column_sparse_coordinates,
     coordinates_from_weights,
     explained_variance,
@@ -198,14 +199,6 @@ class TestPmdRank1:
             pmd_rank1(rng.normal(size=(8, 6)), SparsityConstraint.absolute(2.0, 2.0))
 
 
-def _stack_inputs(z, constraints):
-    """Budgets and warm starts of a stack, one member per constraint."""
-    budgets = [c.budgets(z.shape[1:]) for c in constraints]
-    budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
-    budget_v = np.array([bv for _, bv in budgets])
-    return budget_u, budget_v, _leading_svd(z)[1][:, :, 0]
-
-
 class TestRank1Stack:
     """The alternating loop on a stack: every member ends as its own
     ``pmd_rank1`` fit would, whatever else the stack holds."""
@@ -222,7 +215,7 @@ class TestRank1Stack:
 
     def test_members_equal_their_own_fits(self):
         z = np.random.default_rng(3).normal(size=(7, 8, 7))
-        fit = _rank1_stack(z, *_stack_inputs(z, self.constraints))
+        fit = _rank1_fits(z, self.constraints)
         for i, constraint in enumerate(self.constraints):
             own = pmd_rank1(z[i], constraint)
             np.testing.assert_array_equal(fit.u[i], own.u)
@@ -239,7 +232,8 @@ class TestRank1Stack:
         cap = sorted(own)[-1] - 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = _rank1_stack(z, *_stack_inputs(z, self.constraints), max_iter=cap)
+            fit = _rank1_fits(z, self.constraints, max_iter=cap)
+            _warn_unconverged(fit, stacklevel=1)
         messages = [str(w.message) for w in caught]
         assert len(messages) == 1 and "did not converge in" in messages[0]
         assert list(fit.converged) == [n <= cap for n in own]
@@ -260,21 +254,32 @@ class TestRank1Stack:
 
         monkeypatch.setattr("sparseca.sparse._l1_project_rows", worse)
         z = np.random.default_rng(5).normal(size=(3, 8, 6))
-        inputs = _stack_inputs(z, [SparsityConstraint.absolute(2.0, 2.0)] * 3)
         with pytest.raises(SparseCAError, match=f"ascent broken: {side} update"):
-            _rank1_stack(z, *inputs)
+            _rank1_fits(z, [SparsityConstraint.absolute(2.0, 2.0)] * 3)
 
     def test_member_checks(self):
+        # the loop's own checks, so the warm starts are those of ``z``
         z = np.random.default_rng(4).normal(size=(3, 5, 4))
-        inputs = _stack_inputs(z, [SparsityConstraint.coupled(0.8)] * 3)
+        constraints = [SparsityConstraint.coupled(0.8)] * 3
+        start = _leading_svd(z)[1][:, :, 0]
         zero = z.copy()
         zero[1] = 0.0
         with pytest.raises(DegenerateInputError, match="all-zero matrix"):
-            _rank1_stack(zero, *inputs)
+            _rank1_fits(zero, constraints, start)
         bad = z.copy()
         bad[2, 0, 0] = np.inf
         with pytest.raises(InputError, match="non-finite"):
-            _rank1_stack(bad, *inputs)
+            _rank1_fits(bad, constraints, start)
+
+    def test_omitted_start_is_the_leading_vector(self):
+        stack = np.random.default_rng(6).normal(size=(7, 8, 7))
+        shared = stack[0]
+        for z, start in ((shared, _leading_svd(shared)[1][:, 0]),
+                         (stack, _leading_svd(stack)[1][:, :, 0])):
+            own = _rank1_fits(z, self.constraints)
+            given = _rank1_fits(z, self.constraints, start)
+            for name in own._fields:
+                np.testing.assert_array_equal(getattr(own, name), getattr(given, name))
 
 
 class TestPpmdDeflate:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparseca.ca import ContingencyTable, fit_ca
-from sparseca.cluster import cut_tree, typicality_zscores, ward_cluster
+from sparseca.cluster import Dendrogram, cut_tree, typicality_zscores, ward_cluster
 from sparseca.errors import InputError
 from sparseca.sparse import SparsityConstraint, fit_sparse_ca
 from sparseca import svg
@@ -220,6 +220,17 @@ class TestDendrogramPlot:
         got = sorted(float(el.attrib["data-height"]) for el in merge_lines)
         want = sorted(m[2] for m in d.merges)
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_deep_chain_keeps_leaf_order(self):
+        # merge t joins the previous merge with leaf t + 1, so the tree is
+        # as deep as it has leaves, far past the recursion limit
+        n = 1500
+        merges = [(0, 1, 1.0)] + [(n + t - 1, t + 1, t + 1.0) for t in range(1, n - 1)]
+        d = Dendrogram(merges=merges, labels=[f"p{i}" for i in range(n)])
+        assert svg._leaf_order(merges, n) == list(range(n))
+        root = parse(render_svg(d, PlotSpec("dendrogram")))
+        merge_lines = [el for el in tagged(root, "line") if el.attrib.get("class") == "merge"]
+        assert len(merge_lines) == n - 1
 
     def test_leaf_labels_present(self, rng):
         points = rng.normal(size=(5, 2))

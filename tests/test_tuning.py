@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparseca.errors import InputError
+from sparseca.ca import ContingencyTable, correspondence_matrix, standardized_residuals
+from sparseca.errors import DegenerateInputError, InputError
 from sparseca.linalg import full_svd, l1_constrained_unit_vector
 from sparseca.sparse import (
     SparsityConstraint,
@@ -21,6 +22,8 @@ from sparseca.tuning import (
     residual_variance_estimate,
     weight_paths,
 )
+
+from conftest import BIC_WITHOUT_RESIDUAL
 
 
 def rank1(rng, shape, scale=3.0):
@@ -141,6 +144,19 @@ class TestBicCriterion:
         assert len(svd_calls) == 1
         with pytest.raises(InputError, match="singular values"):
             residual_variance_estimate(z, sigma[:-1])
+
+    @pytest.mark.parametrize("rows", BIC_WITHOUT_RESIDUAL, ids=["exact", "wide", "tall"])
+    def test_no_residual_variance_is_degenerate(self, rows):
+        table = ContingencyTable.from_counts(np.array(rows, dtype=float))
+        z = standardized_residuals(*correspondence_matrix(table))
+        factor = pmd_rank1(z, SparsityConstraint.coupled(0.9))
+        for call in (
+            lambda: residual_variance_estimate(z),
+            lambda: bic_criterion(z, factor),
+            lambda: grid_search_1d(z, grid=[0.8, 1.0], criterion="bic"),
+        ):
+            with pytest.raises(DegenerateInputError, match="no residual variance"):
+                call()
 
     def test_rejects_bad_sigma(self, rng):
         z = rng.normal(size=(6, 5))

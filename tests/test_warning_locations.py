@@ -31,14 +31,8 @@ UNCONVERGED = "rank-1 fit did not converge"
 
 
 @pytest.fixture
-def all_capped(monkeypatch):
-    real = sparseca.sparse._rank1_fits
-
-    def capped(*args, **kwargs):
-        fit = real(*args, **kwargs)
-        return fit._replace(converged=np.zeros_like(fit.converged))
-
-    monkeypatch.setattr("sparseca.sparse._rank1_fits", capped)
+def all_capped(mark_unconverged):
+    mark_unconverged()
 
 
 def warned_lines(call, *args, **kwargs):
