@@ -167,7 +167,10 @@ def _sca_constraints(args, shape):
     if args.sumabs:
         values = _per_dim(args.sumabs, args.dims, "--sumabs")
         if variant == "column_sparse":
-            # coupled scale applied to the penalized column side only
+            if not all(0.0 < s <= 1.0 for s in args.sumabs):
+                raise InputError(f"--sumabs values must lie in (0, 1], got {args.sumabs}")
+            # coupled scale applied to the penalized column side only; a
+            # scale below 1/sqrt(n_cols) keeps the 1-sparse budget of 1
             constraints = [
                 SparsityConstraint.unpenalized_rows(max(1.0, s * np.sqrt(n_cols)))
                 for s in values
@@ -310,7 +313,7 @@ def _cmd_cluster(args):
     coords = model.row_coords[:, : min(2, model.n_dims)]
     dendrogram = ward_cluster(coords, labels=table.row_labels, variant=args.ward_variant)
     assignment = cut_tree(dendrogram, args.k)
-    counts_by_cluster = aggregate_by_cluster(table.counts, assignment, args.k)
+    counts_by_cluster = aggregate_by_cluster(table.counts, assignment)
     typicality = typicality_zscores(
         counts_by_cluster,
         top_m=args.top_words,

@@ -161,16 +161,16 @@ def cut_tree(dendrogram: Dendrogram, k: int) -> np.ndarray:
     return assignment
 
 
-def aggregate_by_cluster(counts, assignment, n_clusters: int | None = None):
-    """Sum table rows within clusters: (clusters x categories) counts."""
+def aggregate_by_cluster(counts, assignment):
+    """Sum table rows within clusters: (clusters x categories) counts, for
+    the clusters 0 to ``max(assignment)`` that ``cut_tree`` numbers."""
     counts = np.asarray(counts, dtype=float)
     assignment = np.asarray(assignment, dtype=int)
     if counts.shape[0] != assignment.size:
         raise InputError(
             f"{assignment.size} assignments for {counts.shape[0]} rows"
         )
-    if n_clusters is None:
-        n_clusters = int(assignment.max()) + 1
+    n_clusters = int(assignment.max()) + 1
     out = np.zeros((n_clusters, counts.shape[1]))
     for cluster in range(n_clusters):
         out[cluster] = counts[assignment == cluster].sum(axis=0)

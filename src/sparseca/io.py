@@ -156,7 +156,6 @@ def build_dtm(
     stoplist_path=None,
     min_count: int = 1,
     max_vocab: int | None = None,
-    drop_empty: bool = True,
 ) -> ContingencyTable:
     """Documents-by-tokens table from a (doc_id, token, count) CSV.
 
@@ -165,7 +164,7 @@ def build_dtm(
     capped at the ``max_vocab`` most frequent tokens (ties by token).
     Documents keep their order of first appearance; token columns are
     ordered by descending corpus count, then token. Documents left
-    empty after filtering are dropped when ``drop_empty`` is set.
+    empty after filtering are dropped.
 
     The count column is converted in one pass and tested as one array,
     like a table row in ``read_contingency_csv``; ragged lines and bad
@@ -230,7 +229,7 @@ def build_dtm(
             if j is not None:
                 counts[i, j] = count
     return ContingencyTable.from_counts(
-        counts, row_labels=doc_order, col_labels=kept, drop_empty=drop_empty
+        counts, row_labels=doc_order, col_labels=kept, drop_empty=True
     )
 
 

@@ -69,7 +69,8 @@ def _leading_svd(x: np.ndarray, k: int = 1) -> tuple:
     whose sign rule it applies, to roundoff. Every stack member gets the
     result its own call would give. A zero matrix, or a zero member, gets
     finite output without a warning: its singular values are 0, and the
-    fits reject it themselves.
+    fits reject it themselves. A matrix with no rows or columns raises
+    ``DegenerateInputError``, before any fit, search or walk starts its loop.
 
     Returns
     -------
@@ -81,6 +82,8 @@ def _leading_svd(x: np.ndarray, k: int = 1) -> tuple:
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise InputError(f"expected a 2-d array or a stack of them, got shape {x.shape}")
+    if 0 in x.shape[-2:]:
+        raise DegenerateInputError(f"a matrix of shape {x.shape[-2:]} has no rows or columns")
     if not np.all(np.isfinite(x)):
         raise InputError("matrix contains non-finite entries")
     xt = np.swapaxes(x, -1, -2)

@@ -39,13 +39,13 @@ WIDTH, HEIGHT, MARGIN = 640, 480, 56
 
 @dataclass
 class PlotSpec:
-    """What to draw and where to put it."""
+    """What to draw (a ``PLOT_KINDS`` kind, the map dimensions, "all" or
+    "nonzero_only" labels) and where to write it, if anywhere; untitled."""
 
     kind: str
     dims: tuple = (0, 1)
     label_filter: str = "all"
     out_path: object = None
-    title: str = ""
 
 
 def _num(x: float) -> str:
@@ -132,20 +132,15 @@ def _place_labels(entries):
     return out
 
 
-def _svg_document(body, frame=None, title=""):
+def _svg_document(body, frame=None):
     attrs = frame.attrs() if frame is not None else ""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}"'
         f' viewBox="0 0 {WIDTH} {HEIGHT}"{attrs}>',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        body,
+        "</svg>\n",
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14"'
-            f' font-family="sans-serif">{_esc(title)}</text>'
-        )
-    parts.append(body)
-    parts.append("</svg>\n")
     return "\n".join(parts)
 
 
@@ -244,7 +239,7 @@ def _render_symmetric_map(model, spec):
     for lx, ly, text in _place_labels(labels):
         parts.append(_text(lx, ly, text))
     parts.extend(_axis_captions(model, spec.dims, frame))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _render_scree(model, spec):
@@ -264,7 +259,7 @@ def _render_scree(model, spec):
         parts.append(_text(x, base + 14, str(k), anchor="middle"))
     parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
                        "dimension", anchor="middle"))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _polyline(xs, ys, color, extra=""):
@@ -305,7 +300,7 @@ def _render_weight_path(path_result, spec):
         parts.append(_text(16, y0 - 6, f"{side} weights"))
         parts.append("</g>")
     parts.append(_text(WIDTH / 2, HEIGHT - 16, "budget", anchor="middle"))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _render_criterion_curve(result, spec):
@@ -343,7 +338,7 @@ def _render_criterion_curve(result, spec):
     )
     parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
                        f"budget ({result.criterion})", anchor="middle"))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _cell_crossings(level, corners):
@@ -402,7 +397,7 @@ def _render_contour(result, spec):
     parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
                        f"row budget ({result.criterion})", anchor="middle"))
     parts.append(_text(16, MARGIN - 10, "column budget"))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _leaf_order(merges, n_leaves):
@@ -456,7 +451,7 @@ def _render_dendrogram(dendrogram, spec):
             x + 3, base + 10, dendrogram.labels[leaf], size=9,
             extra=f' transform="rotate(90 {_px(x + 3)} {_px(base + 10)})"',
         ))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 def _render_cluster_map(artifact, spec):
@@ -494,7 +489,7 @@ def _render_cluster_map(artifact, spec):
                            caption, size=9, color=color,
                            extra=f' class="legend" data-cluster="{cluster}"'))
     parts.extend(_axis_captions(model, spec.dims, frame))
-    return _svg_document("\n".join(parts), frame, spec.title)
+    return _svg_document("\n".join(parts), frame)
 
 
 _RENDERERS = {

@@ -44,9 +44,13 @@ from .sparse import (
     ppmd_deflate,
 )
 
-# Cross-validation stacks the refilled matrices of all folds and grid
-# cells of a sweep, in chunks of at most this many matrix entries (1 MiB
-# per float array of the stack) so that large tables stay within memory.
+# Cross-validation blanks each of CV_FOLDS disjoint tenths of the cells in
+# turn and refills the blanks for CV_SWEEPS sweeps. It stacks the refilled
+# matrices of all folds and grid cells of a sweep, in chunks of at most
+# CV_STACK_ENTRIES matrix entries (1 MiB per float array of the stack) so
+# that large tables stay within memory.
+CV_FOLDS = 10
+CV_SWEEPS = 20
 CV_STACK_ENTRIES = 2**17
 
 
@@ -165,34 +169,31 @@ def _sparsity_index(z, factors, orientation, full_fit=None, fit_sparse=None):
     return float(ratio * zero_fraction**2)
 
 
-def residual_variance_estimate(
-    z: np.ndarray, singular_values: np.ndarray | None = None
-) -> float:
+def residual_variance_estimate(z: np.ndarray) -> float:
     """Error-variance scale for the BIC: mean squared residual of the
     unconstrained rank-1 fit, with one degree of freedom per weight.
 
-    ``singular_values`` are all those of ``z``, in decreasing order, as
-    ``full_svd(z).s`` gives them; a grid search passes the ones its Gram
-    eigendecomposition already gave. When omitted they are computed here
-    the same way (``linalg._leading_svd``), so the residual is the sum of
-    all but the largest eigenvalue of the Gram matrix. A nonzero matrix
-    whose residual is at most 1e-14 times the largest eigenvalue (the
-    scale of ``ca.contributions``' degenerate axes) is rank 1 to
-    roundoff and leaves the BIC no scale: ``DegenerateInputError``.
+    The residual is the sum of all but the largest eigenvalue of the Gram
+    matrix (``linalg._leading_svd``). A matrix with no more cells than
+    weights is rejected before that decomposition (``InputError``). A
+    nonzero matrix whose residual is at most 1e-14 times the largest
+    eigenvalue (the scale of ``ca.contributions``' degenerate axes) is
+    rank 1 to roundoff and leaves the BIC no scale:
+    ``DegenerateInputError``.
     """
-    z = np.asarray(z, dtype=float)
+    return _residual_variance(np.asarray(z, dtype=float))
+
+
+def _residual_variance(z, sigma=None) -> float:
+    """``residual_variance_estimate`` of ``z``; a grid search passes
+    ``sigma``, all singular values of ``z`` in decreasing order, from the
+    Gram eigendecomposition it already took."""
     n_cells = z.size
     df_full = z.shape[0] + z.shape[1]
     if n_cells <= df_full:
         raise InputError("matrix too small to estimate a residual variance")
-    if singular_values is None:
+    if sigma is None:
         sigma = _leading_svd(z)[0]
-    else:
-        sigma = np.asarray(singular_values, dtype=float)
-        if sigma.shape != (min(z.shape),):
-            raise InputError(
-                f"{sigma.shape} singular values for a matrix of shape {z.shape}"
-            )
     residual = float((sigma[1:] ** 2).sum())
     # a zero matrix is left to the fits, which reject it themselves
     if sigma[0] > 0.0 and residual <= 1e-14 * sigma[0] ** 2:
@@ -227,23 +228,17 @@ def bic_criterion(
 
 
 def cv_error(
-    z: np.ndarray,
-    constraint: SparsityConstraint,
-    folds: int = 10,
-    holdout_fraction: float = 0.10,
-    repeats: int = 1,
-    seed: int | None = None,
-    sweeps: int = 20,
+    z: np.ndarray, constraint: SparsityConstraint, repeats: int = 1, seed: int | None = None
 ) -> float:
     """Matrix-completion cross-validation error for one budget.
 
-    Per fold, a scattered random tenth of the cells is blanked, the
-    rank-1 fit is alternated with refilling the blanks (starting from
-    zero) for a fixed number of sweeps, and the squared error of the
-    final reconstruction on the blanks is recorded. Returns the mean
-    over folds and repeats. The same seed always yields the same folds
-    and therefore the same error. The folds of a repeat are disjoint,
-    so ``holdout_fraction * folds`` may not exceed 1 (``InputError``).
+    Each repeat splits a random permutation of the cells into
+    ``CV_FOLDS`` (10) disjoint folds of ``n_cells // 10`` cells. Per fold,
+    its scattered cells are blanked, the rank-1 fit is alternated with
+    refilling the blanks (starting from zero) for ``CV_SWEEPS`` (20)
+    sweeps, and the squared error of the final reconstruction on the
+    blanks is recorded. Returns the mean over folds and repeats. The
+    same seed always yields the same folds and therefore the same error.
 
     All folds and repeats run as one stack: each sweep is one stacked
     rank-1 fit, warm-started from one stacked eigendecomposition of the
@@ -252,20 +247,10 @@ def cv_error(
     its own fit would give, so a grid search's value for a cell equals
     this function's value for that cell's constraint.
     """
-    return float(
-        _cv_errors(z, [constraint], folds, holdout_fraction, repeats, seed, sweeps)[0]
-    )
+    return float(_cv_errors(z, [constraint], repeats, seed)[0])
 
 
-def _cv_errors(
-    z: np.ndarray,
-    constraints,
-    folds: int = 10,
-    holdout_fraction: float = 0.10,
-    repeats: int = 1,
-    seed: int | None = None,
-    sweeps: int = 20,
-) -> np.ndarray:
+def _cv_errors(z, constraints, repeats=1, seed=None) -> np.ndarray:
     """``cv_error`` of each constraint, on the same folds.
 
     Every constraint draws the same folds from ``seed``, so the masks are
@@ -275,35 +260,21 @@ def _cv_errors(
     at most ``CV_STACK_ENTRIES`` matrix entries (at least one matrix per
     chunk) bound the memory a large table takes.
     """
-    if folds < 1 or repeats < 1:
-        raise InputError(f"folds and repeats must be at least 1, got {folds} and {repeats}")
-    if sweeps < 1:
-        raise InputError(f"sweeps must be at least 1, got {sweeps}")
-    if not (np.isfinite(holdout_fraction) and 0.0 < holdout_fraction <= 1.0):
-        raise InputError(f"holdout_fraction must lie in (0, 1], got {holdout_fraction}")
-    # folds partition a permutation of the cells, so together they can
-    # hold out at most all of them; 1e-9 forgives round-off such as
-    # (0.1 / 0.7) * 7 = 1.0000000000000002
-    if holdout_fraction * folds > 1.0 + 1e-9:
-        raise InputError(
-            f"holdout_fraction {holdout_fraction} times {folds} folds exceeds 1;"
-            f" disjoint folds can hold out at most 1/{folds} of the cells each"
-        )
+    if repeats < 1:
+        raise InputError(f"repeats must be at least 1, got {repeats}")
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     z = np.asarray(z, dtype=float)
     n_cells = z.size
-    # cap the holdout so that all folds fit even when the fraction rounds
-    # past n/folds
-    holdout = min(max(1, int(round(n_cells * holdout_fraction))), n_cells // folds)
+    holdout = n_cells // CV_FOLDS
     if holdout < 1:
-        raise InputError(
-            f"{folds} folds need at least {folds} cells, got {n_cells}"
-        )
+        raise InputError(f"{CV_FOLDS} folds need at least {CV_FOLDS} cells, got {n_cells}")
     rng = np.random.default_rng(seed)
-    masks = np.zeros((repeats * folds, n_cells), dtype=bool)
+    masks = np.zeros((repeats * CV_FOLDS, n_cells), dtype=bool)
     for r in range(repeats):
         order = rng.permutation(n_cells)
-        for fold in range(folds):
-            masks[r * folds + fold, order[fold * holdout : (fold + 1) * holdout]] = True
+        for fold in range(CV_FOLDS):
+            masks[r * CV_FOLDS + fold, order[fold * holdout : (fold + 1) * holdout]] = True
     masks = masks.reshape(-1, *z.shape)
     # a bad budget is rejected before any chunk is fitted
     for constraint in constraints:
@@ -318,7 +289,7 @@ def _cv_errors(
         mask = masks[members % len(masks)]
         cells = [constraints[i] for i in members // len(masks)]
         filled = np.where(mask, 0.0, z)
-        for _ in range(sweeps):
+        for _ in range(CV_SWEEPS):
             fit = _rank1_fits(filled, cells)
             _warn_unconverged(fit, stacklevel=2)
             reconstruction = fit.alpha[:, None, None] * (
@@ -331,13 +302,25 @@ def _cv_errors(
 
 
 def _deflate_through(z: np.ndarray, prior_factors) -> np.ndarray:
+    """``z`` with ``prior_factors`` deflated out in turn; a remainder of at
+    most 1e-14 of its squared norm is roundoff: ``DegenerateInputError``."""
+    z_work = z
     for factor in prior_factors:
-        z = ppmd_deflate(z, factor)
-    return z
+        z_work = ppmd_deflate(z_work, factor)
+    rest, total = float((z_work**2).sum()), float((z**2).sum())
+    # a zero matrix is left to the fits, which reject it themselves
+    if total > 0.0 and rest <= 1e-14 * total:
+        raise DegenerateInputError(
+            f"the prior dimensions leave {rest / total:.3g} of the squared norm,"
+            " which is roundoff: no dimension is left to fit"
+        )
+    return z_work
 
 
 def default_coupled_grid(shape: tuple, step: float = 0.01) -> np.ndarray:
     """Coupled budgets from just above the 1-sparse bound up to 1."""
+    if 0 in shape:
+        raise DegenerateInputError(f"a matrix of shape {tuple(shape)} has no rows or columns")
     if not (np.isfinite(step) and step > 0):
         raise InputError(f"grid step must be positive and finite, got {step}")
     low = max(1.0 / np.sqrt(shape[0]), 1.0 / np.sqrt(shape[1]))
@@ -383,7 +366,7 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
     s, v = _leading_svd(z_work)
-    sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
+    sigma2_hat = _residual_variance(z_work, s) if criterion == "bic" else None
     full_fit = None
     if criterion == "is":
         reference = _leading_svd(z, len(prior_factors) + 1)[1] if prior_factors else v
@@ -467,6 +450,10 @@ def grid_search_1d(
 
 def default_absolute_grid(length: int, points: int = 10) -> np.ndarray:
     """Evenly spaced budgets from 1 to the square root of the axis length."""
+    if length < 1:
+        raise DegenerateInputError(f"an axis of length {length} has no budgets")
+    if points < 1:
+        raise InputError(f"grid points must be at least 1, got {points}")
     return np.linspace(1.0, np.sqrt(length), points)
 
 

@@ -155,6 +155,25 @@ class TestScaCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("value, expected", [("-5", 2), ("1.5", 2), ("0.01", 0)])
+    def test_column_variant_sumabs_range(self, tmp_path, capsys, value, expected):
+        # a scale outside (0, 1] is refused under its own flag; a small
+        # positive one keeps the 1-sparse column budget of 1
+        path = tmp_path / "music.csv"
+        write_contingency_csv(colors_of_music(), path)
+        out = tmp_path / "out"
+        code = main([
+            "sca", str(path), "--variant", "column", "--sumabs", value,
+            "--out-dir", str(out),
+        ])
+        assert code == expected
+        if expected == 2:
+            err = capsys.readouterr().err
+            assert f"--sumabs values must lie in (0, 1], got [{float(value)}]" in err
+            assert not out.exists()
+        else:
+            assert "sumabsv 1\n" in capsys.readouterr().out
+
     def test_wrong_budget_count(self, table_csv):
         code = main([
             "sca", str(table_csv), "--sumabs", "0.5", "--sumabs", "0.6",
@@ -237,6 +256,20 @@ class TestTuneCommand:
         assert "grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grid-2d", "--points", "-1"], "grid points must be at least 1, got -1"),
+            (["--criterion", "cv", "--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+        ids=["points", "seed"],
+    )
+    def test_negative_flag_is_validation_error(self, small_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(["tune", str(small_csv), *argv, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_cv_repeats_is_validation_error(self, small_csv, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -290,19 +323,41 @@ def test_tied_weights_keep_the_ascent(tmp_path, capsys, argv):
 @pytest.mark.parametrize("command", ["tune", "paths"])
 def test_after_past_the_last_dimension_is_validation_error(tmp_path, capsys, command):
     # music is 10x9, so it has at most 8 dimensions: 7 fixed ones
-    # leave the 8th to tune, 8 leave none
+    # leave the 8th to tune, 8 leave none; at 1.0 seven fixed ones would
+    # leave only roundoff (see the test below), at 0.5 they do not
     path = tmp_path / "music.csv"
     write_contingency_csv(colors_of_music(), path)
-    for n_after, expected in ((8, 2), (7, 0)):
+    for n_after, budget, expected in ((8, "1.0", 2), (7, "0.5", 0)):
         out = tmp_path / f"out{n_after}"
         extra = ["--step", "0.2"] if command == "tune" else []
         code = main([
-            command, str(path), *["--after", "1.0"] * n_after, *extra,
+            command, str(path), *["--after", budget] * n_after, *extra,
             "--out-dir", str(out),
         ])
         assert code == expected
         if expected == 2:
             assert "at most 8" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "paths"])
+def test_after_leaving_roundoff_is_validation_error(tmp_path, capsys, command):
+    # music has residual rank 6: five unpenalized dimensions leave 0.0046
+    # of the squared norm, six or seven leave about 1e-32, seven at 0.5
+    # leave 2.6e-4
+    path = tmp_path / "music.csv"
+    write_contingency_csv(colors_of_music(), path)
+    extra = ["--step", "0.2"] if command == "tune" else []
+    for n_after, budget, expected in ((5, "1.0", 0), (6, "1.0", 2), (7, "1.0", 2),
+                                      (7, "0.5", 0)):
+        out = tmp_path / f"out{n_after}-{budget}"
+        code = main([
+            command, str(path), *["--after", budget] * n_after, *extra,
+            "--out-dir", str(out),
+        ])
+        assert code == expected, (n_after, budget)
+        if expected == 2:
+            assert "roundoff" in capsys.readouterr().err
             assert not out.exists()
 
 

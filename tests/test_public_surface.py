@@ -1,16 +1,18 @@
 """The public surface, spelled out: the package's exported names, the
-parameters of the sparse fits and tuning criteria, and each subcommand's
-arguments. A change to any of them is made on purpose, by editing the
-lists below."""
+parameters of every public function, the fields of ``PlotSpec``, and each
+subcommand's arguments. A change to any of them is made on purpose, by
+editing the lists below."""
 
 import argparse
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import sparseca
-import sparseca.sparse
-import sparseca.tuning
 from sparseca.cli import build_parser
 from sparseca.sparse import SparsityConstraint
+from sparseca.svg import PlotSpec
 
 EXPORTS = [
     "CADecomposition",
@@ -64,10 +66,46 @@ EXPORTS = [
     "write_tables_csv",
 ]
 
-# parameter names of every public function defined in sparseca.sparse and
-# sparseca.tuning; warm starts, reference fits and weight counts are
-# computed from the inputs, so they are not parameters
+# parameter names of every public function defined in each module; warm
+# starts, reference fits, weight counts, singular values and cluster
+# counts are computed from the inputs, and the cross-validation scheme is
+# fixed, so none of them is a parameter
 SIGNATURES = {
+    "sparseca.ca": {
+        "contributions": ["decomposition"],
+        "correspondence_matrix": ["table"],
+        "fit_ca": ["table", "n_dims"],
+        "standardized_residuals": ["p", "r", "c"],
+        "total_inertia": ["table"],
+    },
+    "sparseca.cli": {
+        "build_parser": [],
+        "main": ["argv"],
+    },
+    "sparseca.cluster": {
+        "aggregate_by_cluster": ["counts", "assignment"],
+        "cut_tree": ["dendrogram", "k"],
+        "typicality_zscores": ["counts", "top_m", "cluster_labels", "category_labels"],
+        "ward_cluster": ["coords", "labels", "variant"],
+    },
+    "sparseca.datasets": {
+        "colors_of_music": [],
+        "presidents_scale_corpus": ["n_docs", "vocab_size", "seed", "min_total"],
+    },
+    "sparseca.io": {
+        "build_dtm": ["token_counts_path", "stoplist_path", "min_count", "max_vocab"],
+        "format_sig": ["value"],
+        "read_contingency_csv": ["path", "drop_empty"],
+        "write_clusters_csv": ["labels", "assignment", "path"],
+        "write_contingency_csv": ["table", "path"],
+        "write_tables_csv": ["model", "out_dir"],
+        "write_tuning_csv": ["result", "path"],
+        "write_typicality_csv": ["table", "path"],
+    },
+    "sparseca.linalg": {
+        "full_svd": ["x"],
+        "l1_constrained_unit_vector": ["x", "c"],
+    },
     "sparseca.sparse": {
         "column_sparse_coordinates": ["p", "r", "c", "a", "eigenvalue", "spread"],
         "coordinates_from_weights": ["p", "r", "c", "u", "v", "eigenvalue"],
@@ -79,8 +117,7 @@ SIGNATURES = {
     },
     "sparseca.tuning": {
         "bic_criterion": ["z", "factor", "sigma2_hat"],
-        "cv_error": ["z", "constraint", "folds", "holdout_fraction", "repeats", "seed",
-                     "sweeps"],
+        "cv_error": ["z", "constraint", "repeats", "seed"],
         "default_absolute_grid": ["length", "points"],
         "default_coupled_grid": ["shape", "step"],
         "grid_search_1d": ["z", "grid", "criterion", "prior_factors", "orientation", "seed",
@@ -88,10 +125,15 @@ SIGNATURES = {
         "grid_search_2d": ["z", "grid_u", "grid_v", "criterion", "prior_factors",
                            "orientation", "seed", "cv_repeats"],
         "is_criterion": ["z", "factors", "orientation"],
-        "residual_variance_estimate": ["z", "singular_values"],
+        "residual_variance_estimate": ["z"],
         "weight_paths": ["z", "grid", "prior_factors"],
     },
+    "sparseca.svg": {
+        "render_svg": ["artifact", "spec"],
+    },
 }
+
+PLOT_SPEC_FIELDS = ["kind", "dims", "label_filter", "out_path"]
 
 TABLE_ARGS = ["table", "--drop-empty", "--out-dir"]
 
@@ -119,17 +161,23 @@ def parameters(function):
     return list(inspect.signature(function).parameters)
 
 
+def public_functions(module):
+    return {
+        name: parameters(obj)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+
+
 def test_signatures():
-    for module in (sparseca.sparse, sparseca.tuning):
-        got = {
-            name: parameters(obj)
-            for name, obj in vars(module).items()
-            if inspect.isfunction(obj)
-            and obj.__module__ == module.__name__
-            and not name.startswith("_")
-        }
-        assert got == SIGNATURES[module.__name__], module.__name__
+    modules = [info.name for info in pkgutil.iter_modules(sparseca.__path__, "sparseca.")]
+    for name in modules:
+        got = public_functions(importlib.import_module(name))
+        assert got == SIGNATURES.get(name, {}), name
     assert parameters(SparsityConstraint.penalized_sides) == ["self"]
+    assert [field.name for field in dataclasses.fields(PlotSpec)] == PLOT_SPEC_FIELDS
 
 
 def test_subcommand_arguments():

@@ -22,13 +22,13 @@ from sparseca.sparse import (
 from sparseca.tuning import (
     _cv_errors,
     _deflate_through,
+    _residual_variance,
     bic_criterion,
     default_coupled_grid,
     explained_variance,
     grid_search_1d,
     grid_search_2d,
     is_criterion,
-    residual_variance_estimate,
     weight_paths,
 )
 
@@ -55,7 +55,7 @@ def serial_evaluate_cells(
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)
     s = _leading_svd(z_work)[0]
-    sigma2_hat = residual_variance_estimate(z_work, s) if criterion == "bic" else None
+    sigma2_hat = _residual_variance(z_work, s) if criterion == "bic" else None
     if criterion == "cv":
         cv_values = _cv_errors(z_work, constraints, seed=seed, repeats=cv_repeats)
     results = []

@@ -257,7 +257,7 @@ class TestClusterMap:
         assignment = cut_tree(d, 2)
         from sparseca.cluster import aggregate_by_cluster
 
-        counts = aggregate_by_cluster(model.table.counts, assignment, 2)
+        counts = aggregate_by_cluster(model.table.counts, assignment)
         typicality = typicality_zscores(counts, top_m=2,
                                         category_labels=model.table.col_labels)
         text = render_svg((model, assignment, typicality), PlotSpec("cluster_map"))
@@ -360,7 +360,7 @@ def reference_weight_path(path_result, spec):
         parts.append(svg._text(16, y0 - 6, f"{side} weights"))
         parts.append("</g>")
     parts.append(svg._text(svg.WIDTH / 2, svg.HEIGHT - 16, "budget", anchor="middle"))
-    return svg._svg_document("\n".join(parts), frame, spec.title)
+    return svg._svg_document("\n".join(parts), frame)
 
 
 def label_entries(rng, n, spread, max_len, centers=4):
@@ -417,7 +417,7 @@ class TestArrayCodeMatchesReference:
     @pytest.mark.parametrize("grid", [[0.5, 0.7, 0.9, 1.0], [0.8], np.linspace(0.45, 1.0, 15)])
     def test_weight_path_matches_point_formatting(self, model, grid):
         wp = weight_paths(model.residuals, grid=grid)
-        spec = PlotSpec("weight_path", title="paths")
+        spec = PlotSpec("weight_path")
         assert render_svg(wp, spec) == reference_weight_path(wp, spec)
 
     def test_criterion_curve_polylines_match_point_formatting(self, model):

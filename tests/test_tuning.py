@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from sparseca.ca import ContingencyTable, correspondence_matrix, standardized_residuals
+from sparseca.datasets import colors_of_music
 from sparseca.errors import DegenerateInputError, InputError
 from sparseca.linalg import full_svd, l1_constrained_unit_vector
 from sparseca.sparse import (
     SparsityConstraint,
     explained_variance,
+    nnz_target_search,
     pmd_rank1,
     ppmd_deflate,
 )
 from sparseca.tuning import (
     _deflate_through,
     _pick_optimum,
+    _residual_variance,
     bic_criterion,
     cv_error,
+    default_absolute_grid,
     default_coupled_grid,
     grid_search_1d,
     grid_search_2d,
@@ -136,14 +140,19 @@ class TestBicCriterion:
         assert residual_variance_estimate(z) == pytest.approx(expected, rel=1e-10)
 
     def test_variance_estimate_takes_given_singular_values(self, rng, svd_calls):
+        # a grid search hands the private helper the singular values of
+        # its own decomposition
         z = rng.normal(size=(9, 6))
         sigma = np.linalg.svd(z, compute_uv=False)
-        assert residual_variance_estimate(z, sigma) == pytest.approx(
+        assert _residual_variance(z, sigma) == pytest.approx(
             residual_variance_estimate(z), rel=1e-12
         )
         assert len(svd_calls) == 1
-        with pytest.raises(InputError, match="singular values"):
-            residual_variance_estimate(z, sigma[:-1])
+
+    def test_variance_estimate_checks_size_before_decomposing(self, svd_calls):
+        with pytest.raises(InputError, match="matrix too small"):
+            residual_variance_estimate(np.full((2, 2), np.nan))
+        assert svd_calls == []
 
     @pytest.mark.parametrize("rows", BIC_WITHOUT_RESIDUAL, ids=["exact", "wide", "tall"])
     def test_no_residual_variance_is_degenerate(self, rows):
@@ -193,8 +202,8 @@ class TestCvError:
 
     def test_too_many_folds_rejected(self, rng):
         z = rng.normal(size=(2, 2))
-        with pytest.raises(InputError):
-            cv_error(z, SparsityConstraint.coupled(0.9), folds=10)
+        with pytest.raises(InputError, match="10 folds need at least 10 cells, got 4"):
+            cv_error(z, SparsityConstraint.coupled(0.9))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -213,31 +222,36 @@ class TestCvError:
         ],
     )
     def test_bad_sweeps_or_holdout_rejected(self, rng, kwargs):
+        # the scheme is fixed (CV_FOLDS, CV_SWEEPS): a caller that still
+        # passes a sweep count, holdout fraction or fold count is refused,
+        # not silently given the fixed scheme
         z = rng.normal(size=(8, 6))
-        with pytest.raises(InputError, match="sweeps|holdout"):
+        with pytest.raises(TypeError, match="sweeps|holdout|folds"):
             cv_error(z, SparsityConstraint.coupled(0.9), seed=0, **kwargs)
 
     def test_folds_may_hold_out_every_cell(self):
-        # 0.1 * 10 folds is 1 up to round-off, and 48 cells round to
-        # folds of 5 that are capped at 48 // 10 = 4 cells
+        # 48 cells make ten folds of 48 // 10 = 4 cells; 10 cells make ten
+        # folds of one cell each, which together hold out every cell
         z = np.random.default_rng(0).normal(size=(8, 6))
-        value = cv_error(z, SparsityConstraint.coupled(0.8), seed=1, sweeps=3)
-        assert value == 1.1779082297558154
-        # 0.1 / 0.7 * 7 rounds to 1.0000000000000002
-        for fraction, folds in ((1 / 3, 3), (0.25, 4), (0.5, 2), (0.1 / 0.7, 7)):
-            assert np.isfinite(cv_error(z, SparsityConstraint.coupled(0.8), seed=1,
-                                        sweeps=3, folds=folds, holdout_fraction=fraction))
-
-    def test_fraction_and_folds_named(self):
-        z = np.random.default_rng(0).normal(size=(8, 6))
-        with pytest.raises(InputError, match=r"holdout_fraction 0\.3 times 10 folds"):
-            cv_error(z, SparsityConstraint.coupled(0.8), holdout_fraction=0.3)
+        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 2.168907438730693
+        z = np.random.default_rng(0).normal(size=(2, 5))
+        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 0.537573542196737
 
     @pytest.mark.parametrize("kwargs", [{"folds": 0}, {"folds": -1}, {"repeats": 0}])
     def test_nonpositive_folds_or_repeats_rejected(self, rng, kwargs):
         z = rng.normal(size=(6, 5))
-        with pytest.raises(InputError, match="at least 1"):
-            cv_error(z, SparsityConstraint.coupled(0.9), **kwargs)
+        if "folds" in kwargs:
+            with pytest.raises(TypeError, match="folds"):
+                cv_error(z, SparsityConstraint.coupled(0.9), **kwargs)
+        else:
+            with pytest.raises(InputError, match="repeats must be at least 1, got 0"):
+                cv_error(z, SparsityConstraint.coupled(0.9), **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected(self, rng, seed):
+        z = rng.normal(size=(6, 5))
+        with pytest.raises(InputError, match=f"seed must be non-negative, got {seed}"):
+            cv_error(z, SparsityConstraint.coupled(0.9), seed=seed)
 
 
 class TestGridSearch1d:
@@ -591,3 +605,62 @@ class TestWeightPaths:
             np.count_nonzero(l1_constrained_unit_vector(x, c)) for c in budgets
         ]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+EMPTY_MATRIX_CALLS = {
+    "pmd_rank1": lambda z: pmd_rank1(z, SparsityConstraint.coupled(0.9)),
+    # the target lies on the axis that has entries
+    "nnz_target_search": lambda z: nnz_target_search(z, 1, "rows" if z.shape[0] else "cols"),
+    "weight_paths": weight_paths,
+    "weight_paths_grid": lambda z: weight_paths(z, grid=[0.8, 1.0]),
+    "grid_search_1d": grid_search_1d,
+    "grid_search_1d_grid": lambda z: grid_search_1d(z, grid=[0.8, 1.0]),
+    "grid_search_2d": grid_search_2d,
+    "grid_search_2d_grid": lambda z: grid_search_2d(z, grid_u=[1.0], grid_v=[1.0]),
+    "cv_error": lambda z: cv_error(z, SparsityConstraint.coupled(0.9)),
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
+    @pytest.mark.parametrize("name", list(EMPTY_MATRIX_CALLS))
+    def test_matrix_without_rows_or_columns(self, name, shape):
+        # cross-validation counts cells before anything else, and the
+        # default 2-D grid has an axis of length 0
+        message = "at least 10 cells|no rows or columns|axis of length 0"
+        error = InputError if name == "cv_error" else DegenerateInputError
+        with pytest.raises(error, match=message):
+            EMPTY_MATRIX_CALLS[name](np.zeros(shape))
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_absolute_grid_needs_a_point(self, points):
+        with pytest.raises(InputError, match=f"grid points must be at least 1, got {points}"):
+            default_absolute_grid(9, points)
+
+    def test_absolute_grid_needs_an_axis(self):
+        with pytest.raises(DegenerateInputError, match="length 0"):
+            default_absolute_grid(0)
+
+    @pytest.mark.parametrize(
+        "n_prior, budget, degenerate",
+        [(5, 1.0, False), (6, 1.0, True), (7, 1.0, True), (7, 0.5, False)],
+    )
+    def test_prior_dimensions_leaving_roundoff(self, n_prior, budget, degenerate):
+        # the music table has residual rank 6: six unpenalized dimensions
+        # leave about 1e-32 of the squared norm
+        z = standardized_residuals(*correspondence_matrix(colors_of_music()))
+        prior, z_work = [], z
+        for _ in range(n_prior):
+            prior.append(pmd_rank1(z_work, SparsityConstraint.coupled(budget)))
+            z_work = ppmd_deflate(z_work, prior[-1])
+        calls = (
+            lambda: _deflate_through(z, prior),
+            lambda: grid_search_1d(z, grid=[0.8, 1.0], prior_factors=prior),
+            lambda: weight_paths(z, grid=[0.8, 1.0], prior_factors=prior),
+        )
+        for call in calls:
+            if degenerate:
+                with pytest.raises(DegenerateInputError, match="roundoff"):
+                    call()
+            else:
+                call()
