@@ -12,6 +12,7 @@ import numpy as np
 
 from .ca import correspondence_matrix, fit_ca, standardized_residuals, total_inertia
 from .cluster import (
+    WARD_VARIANTS,
     aggregate_by_cluster,
     cut_tree,
     typicality_zscores,
@@ -27,9 +28,11 @@ from .io import (
     write_tuning_csv,
     write_typicality_csv,
 )
-from .sparse import SparsityConstraint, fit_sparse_ca, ppmd_deflate, pmd_rank1
+from .sparse import COL_SCALES, SparsityConstraint, fit_sparse_ca
 from .svg import PlotSpec, render_svg
 from .tuning import (
+    CRITERIA,
+    IS_ORIENTATIONS,
     default_absolute_grid,
     default_coupled_grid,
     grid_search_1d,
@@ -69,18 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column-side L1 budget; repeat per dimension")
     p.add_argument("--nnz", type=int, action="append",
                    help="target nonzero column weights; repeat per dimension")
-    p.add_argument("--col-scale", choices=("barycentric", "rescaled"), default="rescaled")
+    p.add_argument("--col-scale", choices=COL_SCALES, default="rescaled")
     p.add_argument("--nonzero-only", action="store_true",
                    help="drop zero-weight items from the map")
     p.set_defaults(func=_cmd_sca)
 
     p = sub.add_parser("tune", help="grid search for sparsity budgets")
     _add_table_arg(p)
-    p.add_argument("--criterion", choices=("is", "bic", "cv"), default="is")
+    p.add_argument("--criterion", choices=CRITERIA, default="is")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--grid-1d", action="store_true", help="coupled budget grid (default)")
     mode.add_argument("--grid-2d", action="store_true", help="independent row/column budget grids")
-    p.add_argument("--orientation", choices=("tradeoff", "printed"), default="tradeoff",
+    p.add_argument("--orientation", choices=IS_ORIENTATIONS, default="tradeoff",
                    help="direction of the sparsity index")
     p.add_argument("--step", type=float, default=0.01,
                    help="spacing of the coupled 1-D grid")
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sumabs", type=float, action="append",
                    help="cluster sparse coordinates at this coupled budget instead of plain CA")
     p.add_argument("--dims", type=int, default=2, help="fitted dimensions (first two are clustered)")
-    p.add_argument("--ward-variant", choices=("D", "D2"), default="D2")
+    p.add_argument("--ward-variant", choices=WARD_VARIANTS, default="D2")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("dtm", help="token counts to a contingency CSV")
@@ -199,21 +202,16 @@ def _sca_constraints(args, shape):
     return variant, constraints
 
 
-def _prior_factors(z, after):
+def _prior_factors(table, after):
     after = after or []
-    max_dims = min(z.shape) - 1  # the tuned dimension comes after the fixed ones
+    max_dims = min(table.shape) - 1  # the tuned dimension comes after the fixed ones
     if len(after) + 1 > max_dims:
         raise InputError(
             f"--after fixes {len(after)} dimensions, so the tuned one would be "
             f"dimension {len(after) + 1}; this table has at most {max_dims}"
         )
-    factors = []
-    z_work = z
-    for budget in after:
-        factor = pmd_rank1(z_work, SparsityConstraint.coupled(budget))
-        factors.append(factor)
-        z_work = ppmd_deflate(z_work, factor)
-    return factors
+    constraints = [SparsityConstraint.coupled(budget) for budget in after]
+    return fit_sparse_ca(table, constraints).factors if after else []
 
 
 def _cmd_ca(args):
@@ -260,7 +258,7 @@ def _cmd_sca(args):
 def _cmd_tune(args):
     table = _read_table(args)
     z = _residuals_of(table)
-    prior = _prior_factors(z, args.after)
+    prior = _prior_factors(table, args.after)
     common = dict(criterion=args.criterion, prior_factors=prior,
                   orientation=args.orientation, seed=args.seed,
                   cv_repeats=args.repeats)
@@ -291,7 +289,7 @@ def _cmd_tune(args):
 def _cmd_paths(args):
     table = _read_table(args)
     z = _residuals_of(table)
-    prior = _prior_factors(z, args.after)
+    prior = _prior_factors(table, args.after)
     wp = weight_paths(z, prior_factors=prior)
     out = _out_dir(args)
     render_svg(wp, PlotSpec("weight_path", out_path=out / "weight_paths.svg"))

@@ -170,6 +170,10 @@ def aggregate_by_cluster(counts, assignment):
         raise InputError(
             f"{assignment.size} assignments for {counts.shape[0]} rows"
         )
+    if assignment.size == 0:
+        raise InputError("no rows to aggregate")
+    if assignment.min() < 0:
+        raise InputError(f"cluster numbers must be non-negative, got {assignment.min()}")
     n_clusters = int(assignment.max()) + 1
     out = np.zeros((n_clusters, counts.shape[1]))
     for cluster in range(n_clusters):

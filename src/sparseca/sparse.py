@@ -346,6 +346,24 @@ def ppmd_deflate(z: np.ndarray, factor: SparseFactor) -> np.ndarray:
     return z - np.outer(u, uz) - np.outer(zv, v) + (u @ zv) * np.outer(u, v)
 
 
+def _deflate_through(z: np.ndarray, prior_factors, total=None) -> np.ndarray:
+    """``z`` with ``prior_factors`` deflated out in turn. A remainder of at
+    most 1e-14 of ``total``, the squared norm of the undeflated matrix
+    (``z``'s by default), is roundoff: ``DegenerateInputError``."""
+    z_work = z
+    for factor in prior_factors:
+        z_work = ppmd_deflate(z_work, factor)
+    rest = float((z_work**2).sum())
+    total = float((z**2).sum()) if total is None else total
+    # a zero matrix is left to the fits, which reject it themselves
+    if total > 0.0 and rest <= 1e-14 * total:
+        raise DegenerateInputError(
+            f"the prior dimensions leave {rest / total:.3g} of the squared norm,"
+            " which is roundoff: no dimension is left to fit"
+        )
+    return z_work
+
+
 def coordinates_from_weights(
     p: np.ndarray,
     r: np.ndarray,
@@ -639,6 +657,9 @@ def fit_sparse_ca(
     Returns
     -------
     SparseCAModel
+
+    Raises ``DegenerateInputError`` when the dimensions fitted so far leave
+    at most 1e-14 of the residual's squared norm: none is left to fit.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -658,21 +679,14 @@ def fit_sparse_ca(
             )
     if not constraints:
         raise InputError("at least one constraint is required")
-    for constraint in constraints:
-        if variant == "column_sparse" and constraint.mode not in (
-            "unpenalized_rows",
-            "nonzero_target",
-        ):
-            raise InputError(
-                "column_sparse fits take unpenalized_rows or "
-                "nonzero_target(axis='cols') constraints"
-            )
-        if (
-            variant == "column_sparse"
-            and constraint.mode == "nonzero_target"
-            and constraint.axis != "cols"
-        ):
-            raise InputError("column_sparse fits can only target column nonzeros")
+    # a column-sparse fit penalizes the column weights alone
+    if variant == "column_sparse" and any(
+        constraint.penalized_sides() != ("cols",) for constraint in constraints
+    ):
+        raise InputError(
+            "column_sparse fits take unpenalized_rows or "
+            "nonzero_target(axis='cols') constraints"
+        )
 
     p, r, c = correspondence_matrix(table)
     z0 = standardized_residuals(p, r, c)
@@ -683,8 +697,11 @@ def fit_sparse_ca(
     factors = []
     a_cols, b_cols = [], []
     cumulative = []
+    total = float((z0**2).sum())
     z_work = z0
     for constraint in constraints:
+        if factors:
+            z_work = _deflate_through(z_work, factors[-1:], total)
         # the nonzero-target walk fits a column target with unpenalized
         # rows and a row target with inactive column budgets, so its fit
         # at the found budget is the dimension's own; in a doubly-sparse
@@ -713,7 +730,6 @@ def fit_sparse_ca(
         cumulative.append(
             explained_variance(z0, np.column_stack([f.v for f in factors]))
         )
-        z_work = ppmd_deflate(z_work, factor)
 
     row_coords = np.column_stack(a_cols)
     col_coords = np.column_stack(b_cols)

@@ -15,15 +15,6 @@ from .errors import InputError
 from .sparse import SparseCAModel
 from .tuning import TuningResult, WeightPath
 
-PLOT_KINDS = (
-    "symmetric_map",
-    "weight_path",
-    "criterion_curve",
-    "contour",
-    "scree",
-    "dendrogram",
-    "cluster_map",
-)
 LABEL_FILTERS = ("all", "nonzero_only")
 
 # row/col markers, then a cycling cluster palette
@@ -501,6 +492,7 @@ _RENDERERS = {
     "dendrogram": _render_dendrogram,
     "cluster_map": _render_cluster_map,
 }
+PLOT_KINDS = tuple(_RENDERERS)
 
 
 def render_svg(artifact, spec: PlotSpec) -> str:

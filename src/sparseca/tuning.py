@@ -38,10 +38,10 @@ from .linalg import _leading_svd
 from .sparse import (
     SparseFactor,
     SparsityConstraint,
+    _deflate_through,
     _rank1_fits,
     _warn_unconverged,
     explained_variance,
-    ppmd_deflate,
 )
 
 # Cross-validation blanks each of CV_FOLDS disjoint tenths of the cells in
@@ -105,6 +105,7 @@ class WeightPath:
 
 
 IS_ORIENTATIONS = ("tradeoff", "printed")
+CRITERIA = ("is", "bic", "cv")
 
 
 def is_criterion(z: np.ndarray, factors, orientation: str = "tradeoff") -> float:
@@ -301,22 +302,6 @@ def _cv_errors(z, constraints, repeats=1, seed=None) -> np.ndarray:
     return fold_errors.reshape(len(constraints), -1).mean(axis=1)
 
 
-def _deflate_through(z: np.ndarray, prior_factors) -> np.ndarray:
-    """``z`` with ``prior_factors`` deflated out in turn; a remainder of at
-    most 1e-14 of its squared norm is roundoff: ``DegenerateInputError``."""
-    z_work = z
-    for factor in prior_factors:
-        z_work = ppmd_deflate(z_work, factor)
-    rest, total = float((z_work**2).sum()), float((z**2).sum())
-    # a zero matrix is left to the fits, which reject it themselves
-    if total > 0.0 and rest <= 1e-14 * total:
-        raise DegenerateInputError(
-            f"the prior dimensions leave {rest / total:.3g} of the squared norm,"
-            " which is roundoff: no dimension is left to fit"
-        )
-    return z_work
-
-
 def default_coupled_grid(shape: tuple, step: float = 0.01) -> np.ndarray:
     """Coupled budgets from just above the 1-sparse bound up to 1."""
     if 0 in shape:
@@ -361,7 +346,7 @@ def _evaluate_cells(z, constraints, prior_factors, criterion, orientation, seed,
     computation of their own. An IS cell's fit ratio reuses the cell's
     explained variance.
     """
-    if criterion not in ("is", "bic", "cv"):
+    if criterion not in CRITERIA:
         raise InputError(f"criterion must be 'is', 'bic' or 'cv', got {criterion!r}")
     prior_factors = list(prior_factors)
     z_work = _deflate_through(z, prior_factors)

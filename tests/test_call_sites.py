@@ -4,7 +4,9 @@ Only standard CA takes a full thin SVD, as it reports every eigenvalue;
 the searches take leading singular vectors from the Gram matrix
 (``linalg._leading_svd``). Every rank-1 fit runs through the one
 alternating loop, ``sparse._rank1_fits``, and only that loop and the
-single-vector projection call the row projection. A site is a module,
+single-vector projection call the row projection. Only ``sparse`` chains
+dimensions: it alone deflates, through ``_deflate_through``, which the
+searches call to re-deflate their prior dimensions. A site is a module,
 or a function in it, of the package.
 """
 
@@ -25,6 +27,8 @@ CALLERS = {
         "sparse._rank1_fits",
     },
     "_rank1_fits": {"sparse", "tuning"},
+    "ppmd_deflate": {"sparse"},
+    "_deflate_through": {"sparse", "tuning"},
 }
 
 

@@ -361,6 +361,28 @@ def test_after_leaving_roundoff_is_validation_error(tmp_path, capsys, command):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sca"], ["sca", "--variant", "column"], ["cluster", "--k", "3"]],
+    ids=["sca", "sca-column", "cluster"],
+)
+def test_dims_past_roundoff_is_validation_error(tmp_path, capsys, argv):
+    # six unpenalized dimensions of music leave about 1e-32 of the squared
+    # norm, so a seventh or eighth would be fitted to roundoff
+    path = tmp_path / "music.csv"
+    write_contingency_csv(colors_of_music(), path)
+    for dims, expected in (("6", 0), ("7", 2), ("8", 2)):
+        out = tmp_path / f"out{dims}"
+        code = main([
+            argv[0], str(path), *argv[1:], "--sumabs", "1.0", "--dims", dims,
+            "--out-dir", str(out),
+        ])
+        assert code == expected, dims
+        if expected == 2:
+            assert "roundoff" in capsys.readouterr().err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid-2d"]], ids=["1d", "2d"])
 @pytest.mark.parametrize("rows", BIC_WITHOUT_RESIDUAL, ids=["exact", "wide", "tall"])
 def test_bic_without_residual_variance_is_validation_error(tmp_path, capsys, grid, rows):

@@ -281,6 +281,15 @@ class TestAggregateByCluster:
         with pytest.raises(InputError):
             aggregate_by_cluster(np.zeros((3, 2)), [0, 1])
 
+    def test_negative_cluster_number_rejected(self):
+        # the row would otherwise drop out of every total
+        with pytest.raises(InputError, match="non-negative"):
+            aggregate_by_cluster(np.ones((2, 2)), [-1, 0])
+
+    def test_empty_assignment_rejected(self):
+        with pytest.raises(InputError, match="no rows"):
+            aggregate_by_cluster(np.zeros((0, 2)), [])
+
 
 class TestTypicalityZscores:
     def test_diagonal_table_by_hand(self):

@@ -6,6 +6,7 @@ import pytest
 
 import sparseca.sparse
 from sparseca.ca import ContingencyTable, contributions, fit_ca
+from sparseca.datasets import colors_of_music
 from sparseca.errors import DegenerateInputError, InputError, SparseCAError
 from sparseca.linalg import _leading_svd, full_svd
 from sparseca.sparse import (
@@ -569,6 +570,14 @@ class TestFitSparseCa:
         cosine = abs(factor.v @ b) / (np.linalg.norm(factor.v) * np.linalg.norm(b))
         assert cosine < 1.0 - 1e-6
 
+    def test_dimensions_past_roundoff_rejected(self):
+        # music has residual rank 6: six unpenalized dimensions leave about
+        # 1e-32 of the squared norm, so a seventh has nothing to fit
+        music = colors_of_music()
+        assert fit_sparse_ca(music, SparsityConstraint.coupled(1.0), n_dims=6).n_dims == 6
+        with pytest.raises(DegenerateInputError, match="roundoff"):
+            fit_sparse_ca(music, SparsityConstraint.coupled(1.0), n_dims=7)
+
     def test_explained_fractions_behave(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
         model = fit_sparse_ca(t, SparsityConstraint.coupled(0.7), n_dims=4)
@@ -626,6 +635,13 @@ class TestFitSparseCa:
         with pytest.raises(InputError, match="column_sparse"):
             fit_sparse_ca(
                 t, SparsityConstraint.coupled(0.6), variant="column_sparse"
+            )
+
+    def test_column_sparse_rejects_row_targets(self, rng):
+        t = ContingencyTable.from_counts(random_table(rng, 6, 5))
+        with pytest.raises(InputError, match="column_sparse"):
+            fit_sparse_ca(
+                t, SparsityConstraint.nonzero_target(3, "rows"), variant="column_sparse"
             )
 
     def test_nonzero_target_resolution(self, rng):
