@@ -230,6 +230,8 @@ def _cmd_ca(args):
 
 
 def _cmd_sca(args):
+    if args.dims < 1:
+        raise InputError(f"--dims must be at least 1, got {args.dims}")
     table = _read_table(args)
     variant, constraints = _sca_constraints(args, table.shape)
     model = fit_sparse_ca(

@@ -3,6 +3,10 @@
 Each dimension solves ``max u' Z v`` over unit vectors with L1 budgets
 on one or both sides, by alternating soft-thresholded projections in
 the one loop that every fit and search runs through (``_rank1_fits``).
+After a few plain iterations the loop steps from a safeguarded Anderson
+extrapolation of the column weights, kept only when it does not lower
+``u' Z v``, so fits whose plain iterates contract slowly stop in a few
+dozen iterations instead of hundreds.
 The fitted direction is removed from the working matrix with a two-sided
 projection before the next dimension is extracted, which keeps later
 weight vectors nearly orthogonal to earlier ones even though sparsity
@@ -26,6 +30,14 @@ COL_SCALES = ("barycentric", "rescaled")
 # of consecutive budgets it fits as one stack
 NNZ_GRID_STEP = 0.2
 NNZ_CHUNK = 8
+# the rank-1 loop takes ANDERSON_WARMUP plain steps, then extrapolates each
+# member's column weights from its last ANDERSON_MEMORY steps; the least
+# squares behind an extrapolation carry a ridge of ANDERSON_RIDGE times
+# their scale
+ANDERSON_WARMUP = 5
+ANDERSON_MEMORY = 3
+ANDERSON_RIDGE = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -157,11 +169,15 @@ def pmd_rank1(
     Starts from the feasible projection of the leading right singular
     vector of ``z``, taken from its Gram matrix (``linalg._leading_svd``),
     and alternates ``u <- project(z v)``, ``v <- project(z' u)`` until the
-    column weights move less than ``tol`` in the max norm. With both
-    budgets at their upper bounds the projections are plain
-    normalizations and the result is the leading singular triplet. The
-    fit is a stack of one member of the loop every fit and search shares
-    (``_rank1_fits``), which takes that warm start itself.
+    column weights move less than ``tol`` in the max norm. After
+    ``ANDERSON_WARMUP`` (5) such iterations, an iteration steps from an
+    Anderson extrapolation of the last ``ANDERSON_MEMORY`` (3) steps
+    instead of from ``v``, and keeps that step only when it does not
+    lower ``u'Zv``; otherwise it takes the plain step. With both budgets
+    at their upper bounds the projections are plain normalizations and
+    the result is the leading singular triplet. The fit is a stack of one
+    member of the loop every fit and search shares (``_rank1_fits``),
+    which takes that warm start itself.
 
     Parameters
     ----------
@@ -218,15 +234,29 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     member per constraint.
 
     ``z`` is a stack of shape (B, n, m), or one matrix of shape (n, m)
-    that every member fits; the budgets are taken over (n, m), and
-    unpenalized rows get an infinite row budget. ``start`` defaults to the
-    leading right singular vector of ``z``, or of each member of a stack
-    (``linalg._leading_svd``). A start of shape (m,) is broadcast over the
-    members, and a shared matrix too: neither is copied per member.
-    Members are independent: each one stops at its own first
-    column-weight change below ``tol`` and ends with the weights,
-    iteration count and checks its own fit would give, to the last bit;
-    members that stop are dropped from the budgets and iterates only.
+    that every member fits; the budgets are taken over (n, m), once per
+    distinct constraint, and unpenalized rows get an infinite row budget.
+    ``start`` defaults to the leading right singular vector of ``z``, or
+    of each member of a stack (``linalg._leading_svd``). A start of shape
+    (m,) is broadcast over the members, and a shared matrix too: neither
+    is copied per member.
+
+    One iteration is one step ``u <- project(z x)``, ``v <- project(z' u)``
+    of the column-weight map. In the first ``ANDERSON_WARMUP`` iterations
+    ``x`` is the current column weights ``v``. After them, a member with a
+    history steps from the type-II Anderson extrapolation ``x`` of its last
+    ``ANDERSON_MEMORY`` steps instead (``_anderson_point``). The safeguard
+    keeps that step only when its ``u'Zv`` is at least the current pair's;
+    otherwise the member takes the plain step from ``v`` in the same
+    iteration and clears its history. So ``u'Zv`` never falls, and
+    ``_check_ascent`` checks every plain half-step. A member stops at its
+    first column-weight change below ``tol``, or at ``max_iter``; the
+    change of a step from an extrapolated point is the larger of its
+    moves from ``v`` and from ``x``.
+
+    Members are independent: each one ends with the weights, iteration
+    count and checks its own fit would give, to the last bit; members that
+    stop are dropped from the budgets, iterates and histories only.
 
     Cross-validation fits the folds and grid cells of a sweep as a stack
     of matrices; ``weight_paths``, the grid searches and
@@ -237,7 +267,8 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     """
     if start is None:
         start = _leading_svd(z)[1][..., 0]
-    budgets = [c.budgets(z.shape[-2:]) for c in constraints]
+    resolved = {c: c.budgets(z.shape[-2:]) for c in dict.fromkeys(constraints)}
+    budgets = [resolved[c] for c in constraints]
     budget_u = np.array([np.inf if bu is None else bu for bu, _ in budgets])
     budget_v = np.array([bv for _, bv in budgets])
     if max_iter < 1:
@@ -261,19 +292,69 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     n_iter = np.empty(live.size, dtype=int)
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
     objective = np.full(live.size, -np.inf)
-    for step in range(1, max_iter + 1):
-        zv = np.matmul(zs, v[..., None])[..., 0]
-        u = _l1_project_rows(zv, bu)
-        after_u = (u * zv).sum(axis=-1)
-        # each half-step maximizes the bilinear form over a set that
-        # contains the previous iterate
-        _check_ascent("row", objective, after_u)
+
+    def full_step(zs, zts, x, bu, bv):
+        """One iteration from column weights ``x``, per member: ``u =
+        project(z x)``, ``u'Zx``, ``v = project(z' u)`` and ``u'Zv``."""
+        zx = np.matmul(zs, x[..., None])[..., 0]
+        u = _l1_project_rows(zx, bu)
         zu = np.matmul(zts, u[..., None])[..., 0]
-        v_new = _l1_project_rows(zu, bv)
-        objective = (zu * v_new).sum(axis=-1)
-        _check_ascent("column", after_u, objective)
+        v = _l1_project_rows(zu, bv)
+        return u, (u * zx).sum(axis=-1), v, (zu * v).sum(axis=-1)
+
+    # each member's Anderson history: how the residual f = v_new - x and the
+    # image v_new changed between successive steps, in a ring of
+    # ANDERSON_MEMORY slots that all members write at the same step, with
+    # the Gram matrix of the residual changes; a member's n_diff newest
+    # slots are valid. It starts at the step whose change the first
+    # extrapolation can use. Single precision halves its memory; the steps
+    # themselves, which the safeguard and the stop rule judge, stay double.
+    d_f = d_g = gram = f_last = None
+    n_diff = np.zeros(live.size, dtype=int)
+    for step in range(1, max_iter + 1):
+        x, tried = v, np.zeros(live.size, dtype=bool)
+        if step > ANDERSON_WARMUP and np.count_nonzero(n_diff):
+            newest = (step - 1) % ANDERSON_MEMORY
+            x, tried = _anderson_point(v, f_last, d_f, d_g, gram, n_diff, newest)
+        u, after_u, v_new, after_v = full_step(zs, zts, x, bu, bv)
+        # each plain half-step maximizes the bilinear form over a set that
+        # contains the previous iterate; a step from an extrapolated point
+        # need not, and the safeguard decides on it
+        _check_ascent("row", np.where(tried, -np.inf, objective), after_u)
+        _check_ascent("column", np.where(tried, -np.inf, after_u), after_v)
+        refused = tried
+        if np.count_nonzero(tried):
+            refused = tried & (after_v < objective)
+            if np.count_nonzero(refused):
+                rows = np.flatnonzero(refused)
+                z_rows = (zs[rows], zts[rows]) if zs.ndim == 3 else (zs, zts)
+                plain = full_step(*z_rows, v[rows], bu[rows], bv[rows])
+                _check_ascent("row", objective[rows], plain[1])
+                _check_ascent("column", plain[1], plain[3])
+                x[rows] = v[rows]
+                u[rows], after_u[rows], v_new[rows], after_v[rows] = plain
+        residual = v_new - x
         change = np.abs(v_new - v).max(axis=-1)
-        v = v_new
+        if np.count_nonzero(tried):
+            # a step from an extrapolated point also has to be short from
+            # that point, or a far point that happens to map near the last
+            # iterate would pass for convergence
+            change = np.maximum(change, np.abs(residual).max(axis=-1))
+        if step >= ANDERSON_WARMUP - ANDERSON_MEMORY:
+            if f_last is None:
+                d_f = np.zeros((live.size, ANDERSON_MEMORY, v.shape[-1]), dtype=np.float32)
+                d_g = np.zeros_like(d_f)
+                gram = np.zeros((live.size, ANDERSON_MEMORY, ANDERSON_MEMORY))
+            else:
+                slot = step % ANDERSON_MEMORY
+                d_f[:, slot], d_g[:, slot] = residual - f_last, v_new - v
+                column = np.matmul(d_f, d_f[:, slot, :, None])[..., 0]
+                gram[:, slot, :], gram[:, :, slot] = column, column
+                n_diff = np.minimum(n_diff + 1, ANDERSON_MEMORY)
+                # a refused member starts its history afresh
+                n_diff[refused] = 0
+            f_last = residual.astype(np.float32)
+        v, objective = v_new, after_v
         done = (change < tol) | (step == max_iter)
         n_done = np.count_nonzero(done)
         if n_done:
@@ -286,6 +367,9 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
             live, bu, bv, v, objective = (
                 live[keep], bu[keep], bv[keep], v[keep], objective[keep]
             )
+            n_diff = n_diff[keep]
+            if f_last is not None:
+                d_f, d_g, gram, f_last = d_f[keep], d_g[keep], gram[keep], f_last[keep]
             if zs.ndim == 3:
                 zs, zts = zs[keep], zts[keep]
 
@@ -300,6 +384,30 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
             f"rank-1 fit ended with negative u'Zv = {alpha[alpha < 0.0][0]:.9g}"
         )
     return _StackFit(u, v, alpha, change < tol, n_iter, change)
+
+
+def _anderson_point(v, f_last, d_f, d_g, gram, n_diff, newest) -> tuple:
+    """Type-II Anderson extrapolation of each member's column weights, and
+    which members have a history to extrapolate from.
+
+    ``gamma`` minimizes ``|f_last - d_f' gamma|`` over a member's valid
+    history slots, the ``n_diff`` written last (``newest`` is the slot of
+    the last step), by the normal equations with a ridge of
+    ``ANDERSON_RIDGE`` times their trace, solved for all members at once.
+    The point is ``v - d_g' gamma``, as ``v`` is the image of the last
+    step; a member without a history keeps ``v``.
+    """
+    slots = np.arange(ANDERSON_MEMORY)
+    valid = (newest - slots) % ANDERSON_MEMORY < n_diff[:, None]
+    lhs = np.where(valid[:, :, None] & valid[:, None, :], gram, 0.0)
+    rhs = np.where(valid[..., None], np.matmul(d_f, f_last[..., None]), 0.0)
+    ridge = np.maximum(ANDERSON_RIDGE * np.trace(lhs, axis1=1, axis2=2), _TINY)
+    # an invalid slot gets a unit diagonal, and so a zero weight
+    lhs[:, slots, slots] += np.where(valid, ridge[:, None], 1.0)
+    gamma = np.linalg.solve(lhs, rhs)
+    tried = n_diff > 0
+    x = v - np.matmul(np.swapaxes(gamma, -1, -2).astype(np.float32), d_g)[:, 0]
+    return np.where(tried[:, None], x, v), tried
 
 
 def _warn_unconverged(fit: _StackFit, stacklevel: int, count=None) -> None:

@@ -181,6 +181,22 @@ class TestScaCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "dims, budgets",
+        [
+            ("0", ["--sumabs", "0.5"]),
+            ("-2", ["--nnz", "4"]),
+            ("-1", ["--sumabs", "0.5", "--sumabs", "0.6"]),
+        ],
+    )
+    def test_dims_below_one_rejected(self, table_csv, tmp_path, capsys, dims, budgets):
+        # refused under its own flag, before any budget is matched to it
+        out = tmp_path / "out"
+        code = main(["sca", str(table_csv), "--dims", dims, *budgets, "--out-dir", str(out)])
+        assert code == 2
+        assert f"--dims must be at least 1, got {dims}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonzero_only_map(self, table_csv, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -22,7 +22,7 @@ from sparseca.sparse import (
     ppmd_deflate,
 )
 
-from conftest import random_table
+from conftest import large_table_residuals, random_table
 
 
 def inactive(shape):
@@ -281,6 +281,56 @@ class TestRank1Stack:
             given = _rank1_fits(z, self.constraints, start)
             for name in own._fields:
                 np.testing.assert_array_equal(getattr(own, name), getattr(given, name))
+
+
+def plain_loop(monkeypatch):
+    """Switch extrapolation off: the loop then takes plain steps only."""
+    monkeypatch.setattr("sparseca.sparse.ANDERSON_WARMUP", 10**9)
+
+
+class TestAcceleratedLoop:
+    """The safeguarded Anderson steps of the rank-1 loop."""
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [SparsityConstraint.coupled(0.3), SparsityConstraint.absolute(3.0, 8.0)],
+        ids=["sumabs", "sumabsu-sumabsv"],
+    )
+    def test_slow_fits_converge_within_the_cap(self, monkeypatch, constraint):
+        # dimension 2 of `sca --sumabs 0.3` and of `sca --sumabsu 3
+        # --sumabsv 8` on the benchmark's first large table: plain steps
+        # need 428 and 534 iterations to converge
+        z = large_table_residuals(1, 0)
+        z = ppmd_deflate(z, pmd_rank1(z, constraint))
+        fast = pmd_rank1(z, constraint)
+        plain_loop(monkeypatch)
+        plain = pmd_rank1(z, constraint, max_iter=1000)
+        assert fast.converged and fast.n_iter <= 200
+        assert plain.converged and plain.n_iter > 400
+        assert (fast.nnz_u, fast.nnz_v) == (plain.nnz_u, plain.nnz_v)
+        assert fast.alpha >= plain.alpha * (1 - 1e-12)
+
+    def test_worse_extrapolation_is_refused(self, monkeypatch):
+        # every extrapolated point is replaced by a fixed direction, which
+        # lowers u'Zv; each such step must give way to the plain step, so
+        # the fits end as the plain loop's, bit for bit
+        z = large_table_residuals(1, 0)
+        grid = np.arange(1.0, 2.6, sparseca.sparse.NNZ_GRID_STEP)
+        constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
+        far = np.random.default_rng(0).normal(size=z.shape[1])
+        forced = []
+
+        def worse(v, *history):
+            forced.append(len(v))
+            return np.tile(far, (len(v), 1)), np.ones(len(v), dtype=bool)
+
+        monkeypatch.setattr("sparseca.sparse._anderson_point", worse)
+        fit = _rank1_fits(z, constraints)
+        assert forced
+        plain_loop(monkeypatch)
+        plain = _rank1_fits(z, constraints)
+        for name in plain._fields:
+            np.testing.assert_array_equal(getattr(fit, name), getattr(plain, name))
 
 
 class TestPpmdDeflate:

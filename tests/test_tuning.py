@@ -231,11 +231,14 @@ class TestCvError:
 
     def test_folds_may_hold_out_every_cell(self):
         # 48 cells make ten folds of 48 // 10 = 4 cells; 10 cells make ten
-        # folds of one cell each, which together hold out every cell
+        # folds of one cell each, which together hold out every cell. The
+        # values moved by 4e-8 and 1e-8 relative when the rank-1 loop began
+        # to extrapolate: some of its fits now stop at another point within
+        # the loop's tolerance
         z = np.random.default_rng(0).normal(size=(8, 6))
-        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 2.168907438730693
+        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 2.1689073558385386
         z = np.random.default_rng(0).normal(size=(2, 5))
-        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 0.537573542196737
+        assert cv_error(z, SparsityConstraint.coupled(0.8), seed=1) == 0.5375735483248174
 
     @pytest.mark.parametrize("kwargs", [{"folds": 0}, {"folds": -1}, {"repeats": 0}])
     def test_nonpositive_folds_or_repeats_rejected(self, rng, kwargs):
