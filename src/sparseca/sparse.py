@@ -33,7 +33,8 @@ NNZ_CHUNK = 8
 # the rank-1 loop takes ANDERSON_WARMUP plain steps, then extrapolates each
 # member's column weights from its last ANDERSON_MEMORY steps; the least
 # squares behind an extrapolation carry a ridge of ANDERSON_RIDGE times
-# their scale
+# their scale, and at least _TINY, so that a history whose residuals did
+# not change still has a solution
 ANDERSON_WARMUP = 5
 ANDERSON_MEMORY = 3
 ANDERSON_RIDGE = 1e-10

@@ -137,7 +137,7 @@ class TestSharedMatrixStack:
         grid = np.arange(1.0, 1.0 + NNZ_CHUNK * NNZ_GRID_STEP, NNZ_GRID_STEP)
         constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
         stack = _rank1_fits(large_z, constraints)
-        assert min(stack.n_iter) <= ANDERSON_WARMUP < ANDERSON_WARMUP + 3 < max(stack.n_iter)
+        assert min(stack.n_iter) <= ANDERSON_WARMUP < max(stack.n_iter)
         for i, constraint in enumerate(constraints):
             own = pmd_rank1(large_z, constraint)
             np.testing.assert_array_equal(stack.u[i], own.u)
