@@ -213,6 +213,17 @@ class CADecomposition:
         return self.eigenvalues / total
 
 
+def _dims_limit(shape: tuple, n_dims: int | None) -> int:
+    """Most dimensions a table of ``shape`` has, once ``n_dims`` (None for
+    all) is checked against it; ``fit_ca`` and ``fit_sparse_ca`` share it."""
+    max_dims = min(shape) - 1
+    if max_dims < 1:
+        raise InputError("table must have at least two rows and two columns")
+    if n_dims is not None and not 1 <= n_dims <= max_dims:
+        raise InputError(f"n_dims must be in [1, {max_dims}], got {n_dims}")
+    return max_dims
+
+
 def fit_ca(table: ContingencyTable, n_dims: int | None = None) -> CADecomposition:
     """Fit correspondence analysis, keeping the leading ``n_dims`` axes.
 
@@ -227,16 +238,11 @@ def fit_ca(table: ContingencyTable, n_dims: int | None = None) -> CADecompositio
     -------
     CADecomposition
     """
-    p, r, c = correspondence_matrix(table)
-    z = standardized_residuals(p, r, c)
-    n_rows, n_cols = p.shape
-    max_dims = min(n_rows, n_cols) - 1
-    if max_dims < 1:
-        raise InputError("table must have at least two rows and two columns")
+    max_dims = _dims_limit(table.shape, n_dims)
     if n_dims is None:
         n_dims = max_dims
-    if not 1 <= n_dims <= max_dims:
-        raise InputError(f"n_dims must be in [1, {max_dims}], got {n_dims}")
+    p, r, c = correspondence_matrix(table)
+    z = standardized_residuals(p, r, c)
     svd = full_svd(z)
     # the trailing singular value is the numerically-zero trivial direction
     sigma = svd.s[:max_dims]

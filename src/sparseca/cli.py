@@ -145,6 +145,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _map_dims(model):
+    """The dimensions a map shows: the first two, or the only one."""
+    return (0, 1) if model.n_dims >= 2 else (0,)
+
+
 def _per_dim(values, n_dims, flag):
     if len(values) == 1:
         return list(values) * n_dims
@@ -219,8 +224,7 @@ def _cmd_ca(args):
     model = fit_ca(table, n_dims=args.dims)
     out = _out_dir(args)
     paths = write_tables_csv(model, out)
-    dims = (0, 1) if model.n_dims >= 2 else (0,)
-    render_svg(model, PlotSpec("symmetric_map", dims=dims, out_path=out / "map.svg"))
+    render_svg(model, PlotSpec("symmetric_map", dims=_map_dims(model), out_path=out / "map.svg"))
     render_svg(model, PlotSpec("scree", out_path=out / "scree.svg"))
     print(f"table: {table.shape[0]} x {table.shape[1]}, total inertia {model.total_inertia:.6g}")
     for k, lam in enumerate(model.eigenvalues[: model.n_dims], start=1):
@@ -230,19 +234,14 @@ def _cmd_ca(args):
 
 
 def _cmd_sca(args):
-    if args.dims < 1:
-        raise InputError(f"--dims must be at least 1, got {args.dims}")
     table = _read_table(args)
     variant, constraints = _sca_constraints(args, table.shape)
-    model = fit_sparse_ca(
-        table, constraints, n_dims=args.dims, variant=variant, col_scale=args.col_scale
-    )
+    model = fit_sparse_ca(table, constraints, variant=variant, col_scale=args.col_scale)
     out = _out_dir(args)
     write_tables_csv(model, out)
-    dims = (0, 1) if model.n_dims >= 2 else (0,)
     label_filter = "nonzero_only" if args.nonzero_only else "all"
-    render_svg(model, PlotSpec("symmetric_map", dims=dims, label_filter=label_filter,
-                               out_path=out / "map.svg"))
+    render_svg(model, PlotSpec("symmetric_map", dims=_map_dims(model),
+                               label_filter=label_filter, out_path=out / "map.svg"))
     render_svg(model, PlotSpec("scree", out_path=out / "scree.svg"))
     inertia = model.total_inertia
     for k, factor in enumerate(model.factors, start=1):
@@ -307,10 +306,11 @@ def _cmd_cluster(args):
             SparsityConstraint.coupled(s)
             for s in _per_dim(args.sumabs, args.dims, "--sumabs")
         ]
-        model = fit_sparse_ca(table, constraints, n_dims=args.dims)
+        model = fit_sparse_ca(table, constraints)
     else:
         model = fit_ca(table, n_dims=args.dims)
-    coords = model.row_coords[:, : min(2, model.n_dims)]
+    map_dims = _map_dims(model)
+    coords = model.row_coords[:, : len(map_dims)]
     dendrogram = ward_cluster(coords, labels=table.row_labels, variant=args.ward_variant)
     assignment = cut_tree(dendrogram, args.k)
     counts_by_cluster = aggregate_by_cluster(table.counts, assignment)
@@ -324,7 +324,6 @@ def _cmd_cluster(args):
     write_clusters_csv(table.row_labels, assignment, out / "clusters.csv")
     write_typicality_csv(typicality, out / "typicality.csv")
     render_svg(dendrogram, PlotSpec("dendrogram", out_path=out / "dendrogram.svg"))
-    map_dims = (0, 1) if model.n_dims >= 2 else (0,)
     render_svg((model, assignment, typicality),
                PlotSpec("cluster_map", dims=map_dims, out_path=out / "cluster_map.svg"))
     for i, ranked in enumerate(typicality.ranked):
@@ -357,6 +356,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # one rule for every subcommand's --dims, checked before any table is read
+        if getattr(args, "dims", None) is not None and args.dims < 1:
+            raise InputError(f"--dims must be at least 1, got {args.dims}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,14 +13,13 @@ weight vectors nearly orthogonal to earlier ones even though sparsity
 breaks exact orthogonality.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ca import ContingencyTable, correspondence_matrix, standardized_residuals
+from .ca import ContingencyTable, _dims_limit, correspondence_matrix, standardized_residuals
 from .errors import DegenerateInputError, InputError, SparseCAError
 from .linalg import _l1_project_rows, _leading_svd, _row_pick
 
@@ -95,8 +94,7 @@ class SparsityConstraint:
         ``nonzero_target`` constraint has no budget until resolved.
         """
         n_rows, n_cols = shape
-        # as np.sqrt rounds, at a tenth of its cost: the loop takes one per member
-        lim_u, lim_v = np.float64(math.sqrt(n_rows)), np.float64(math.sqrt(n_cols))
+        lim_u, lim_v = np.sqrt(n_rows), np.sqrt(n_cols)
         if self.mode == "absolute":
             if self.sumabsu is None or self.sumabsv is None:
                 raise InputError("absolute mode needs both sumabsu and sumabsv")
@@ -521,24 +519,18 @@ def column_sparse_coordinates(
     r: np.ndarray,
     c: np.ndarray,
     a: np.ndarray,
-    eigenvalue: float,
     spread: str = "rescaled",
 ) -> np.ndarray:
     """Column coordinates for a fit that only sparsifies column weights.
 
     ``barycentric`` places each column at the weighted mean of the row
-    coordinates of its profile; ``rescaled`` stretches that direction so
-    the weighted variance of the columns equals ``eigenvalue``, matching
-    the spread of the rows.
+    coordinates ``a`` of its profile; ``rescaled`` stretches that
+    direction so the weighted variance of the columns equals that of the
+    rows, ``a**2 @ r`` (the eigenvalue, for rows from
+    ``coordinates_from_weights``).
     """
     if spread not in COL_SCALES:
         raise InputError(f"spread must be one of {COL_SCALES}, got {spread!r}")
-    variance = float(a**2 @ r)
-    if abs(variance - eigenvalue) > 1e-6 * max(1.0, eigenvalue):
-        raise SparseCAError(
-            f"row coordinates carry weighted variance {variance:.9g}, "
-            f"not the eigenvalue {eigenvalue:.9g}"
-        )
     barycenter = (p.T @ a) / c
     if spread == "barycentric":
         return barycenter
@@ -547,7 +539,7 @@ def column_sparse_coordinates(
         raise DegenerateInputError(
             "column barycenters are all at the origin; use spread='barycentric'"
         )
-    return barycenter * np.sqrt(eigenvalue / weighted)
+    return barycenter * np.sqrt(float(a**2 @ r) / weighted)
 
 
 class NnzSearchResult(NamedTuple):
@@ -741,7 +733,6 @@ def explained_variance(z: np.ndarray, weight_columns: np.ndarray) -> float:
 def fit_sparse_ca(
     table: ContingencyTable,
     constraints,
-    n_dims: int | None = None,
     variant: str = "doubly_sparse",
     col_scale: str = "rescaled",
 ) -> SparseCAModel:
@@ -751,11 +742,9 @@ def fit_sparse_ca(
     ----------
     table : ContingencyTable
     constraints : SparsityConstraint or sequence of SparsityConstraint
-        One per extracted dimension; a single constraint is reused for
-        all ``n_dims`` dimensions.
-    n_dims : int, optional
-        Number of dimensions; defaults to the number of constraints
-        given (1 for a single constraint).
+        One per extracted dimension, so their number is the number of
+        dimensions, in [1, ``min(n_rows, n_cols) - 1``] as for
+        ``fit_ca``; a single constraint fits one dimension.
     variant : str
         "doubly_sparse" or "column_sparse". The column-sparse variant
         leaves row weights unpenalized and derives column coordinates
@@ -775,19 +764,8 @@ def fit_sparse_ca(
     if col_scale not in COL_SCALES:
         raise InputError(f"col_scale must be one of {COL_SCALES}, got {col_scale!r}")
     if isinstance(constraints, SparsityConstraint):
-        if n_dims is None:
-            n_dims = 1
-        constraints = [constraints] * n_dims
-    else:
-        constraints = list(constraints)
-        if n_dims is None:
-            n_dims = len(constraints)
-        elif n_dims != len(constraints):
-            raise InputError(
-                f"{len(constraints)} constraints for {n_dims} dimensions"
-            )
-    if not constraints:
-        raise InputError("at least one constraint is required")
+        constraints = [constraints]
+    constraints = list(constraints)
     # a column-sparse fit penalizes the column weights alone
     if variant == "column_sparse" and any(
         constraint.penalized_sides() != ("cols",) for constraint in constraints
@@ -797,11 +775,9 @@ def fit_sparse_ca(
             "nonzero_target(axis='cols') constraints"
         )
 
+    _dims_limit(table.shape, len(constraints))
     p, r, c = correspondence_matrix(table)
     z0 = standardized_residuals(p, r, c)
-    max_dims = min(p.shape[0], p.shape[1]) - 1
-    if n_dims > max_dims:
-        raise InputError(f"n_dims must be at most {max_dims}, got {n_dims}")
 
     factors = []
     a_cols, b_cols = [], []
@@ -830,9 +806,7 @@ def fit_sparse_ca(
         factor.eigenvalue = alpha**2
         a, b = coordinates_from_weights(p, r, c, factor.u, factor.v, factor.eigenvalue)
         if variant == "column_sparse":
-            b = column_sparse_coordinates(
-                p, r, c, a, factor.eigenvalue, spread=col_scale
-            )
+            b = column_sparse_coordinates(p, r, c, a, spread=col_scale)
         factors.append(factor)
         a_cols.append(a)
         b_cols.append(b)

@@ -263,7 +263,7 @@ def test_corpus_scale_shapes():
     ev = ca.eigenvalues
     res = nnz_target_search(ca.residuals, 50, axis="cols")
     model = fit_sparse_ca(tab, [SparsityConstraint.unpenalized_rows(res.value)],
-                          n_dims=1, variant="column_sparse")
+                          variant="column_sparse")
     corr = abs(float(np.corrcoef(model.row_coords[:, 0], ca.row_coords[:, 0])[0, 1]))
     dominance = float((ev[0] + ev[1]) / ev[2])
     elapsed = time.time() - t0

@@ -129,6 +129,26 @@ class TestScaCommand:
         nnz = sum(1 for row in cols[1:] if row[weight_idx] != "0")
         assert nnz >= 3
 
+    def test_column_variant_sumabsv_broadcast(self, tmp_path, capsys):
+        # one --sumabsv serves every dimension of the column variant
+        path = tmp_path / "music.csv"
+        write_contingency_csv(colors_of_music(), path)
+        out = tmp_path / "out"
+        code = main([
+            "sca", str(path), "--variant", "column", "--sumabsv", "1.5",
+            "--dims", "2", "--out-dir", str(out),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for k in (1, 2):
+            assert lines[k - 1].startswith(f"dim {k}: ")
+            assert lines[k - 1].endswith("nonzeros 10 rows / 3 cols, sumabsv 1.5")
+        cols = read_rows(out / "cols.csv")
+        for k in (1, 2):
+            weight_idx = cols[0].index(f"weight_{k}")
+            l1 = sum(abs(float(row[weight_idx])) for row in cols[1:])
+            assert l1 <= 1.5 + 1e-5
+
     def test_broken_invariant_is_runtime_error(self, table_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
             "sparseca.sparse._l1_project_rows",
@@ -318,6 +338,34 @@ def test_zero_inertia_table_is_validation_error(tmp_path, capsys, argv):
     assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 2
     assert "total inertia" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ca"],
+        ["sca", "--sumabs", "0.5"],
+        ["cluster", "--k", "2"],
+        ["cluster", "--k", "2", "--sumabs", "0.5"],
+    ],
+    ids=["ca", "sca", "cluster", "cluster-sparse"],
+)
+def test_one_message_per_dims_mistake(tmp_path, capsys, argv):
+    # music is 10x9, so it has at most 8 dimensions; a count below one is
+    # refused before the table is read, one above the table's by the fit
+    path = tmp_path / "music.csv"
+    write_contingency_csv(colors_of_music(), path)
+    for dims, message in (
+        ("0", "--dims must be at least 1, got 0"),
+        ("-1", "--dims must be at least 1, got -1"),
+        ("9", "n_dims must be in [1, 8], got 9"),
+        ("1.5", "argument --dims: invalid int value: '1.5'"),
+    ):
+        out = tmp_path / f"out{dims}"
+        code = main([argv[0], str(path), *argv[1:], "--dims", dims, "--out-dir", str(out)])
+        assert code == 2, dims
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

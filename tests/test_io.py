@@ -101,6 +101,12 @@ class TestReadContingencyCsv:
         with pytest.raises(ParseError, match="empty"):
             read_contingency_csv(path)
 
+    def test_header_with_one_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["id", "x"])
+        with pytest.raises(ParseError, match="at least one column"):
+            read_contingency_csv(path)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["id,a,b"])
@@ -227,6 +233,17 @@ class TestBuildDtm:
         with pytest.raises(InputError, match="min_count"):
             build_dtm(path, min_count=0)
 
+    def test_max_vocab_validated(self, tmp_path):
+        path = self.corpus(tmp_path, ["d1,apple,5"])
+        with pytest.raises(InputError, match="max_vocab must be at least 1, got 0"):
+            build_dtm(path, max_vocab=0)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "tokens.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty token-counts file"):
+            build_dtm(path)
+
 
 class TestFormatSig:
     def test_zero_is_bare(self):
@@ -271,7 +288,7 @@ class TestWriteTablesCsv:
 
     def test_sparse_fit_zero_weights_are_literal_zero(self, tmp_path, rng):
         table = ContingencyTable.from_counts(random_table(rng, 8, 6, total=900))
-        model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 2, n_dims=2)
+        model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 2)
         write_tables_csv(model, tmp_path)
         header, rows = parse_csv(tmp_path / "cols.csv")
         assert header[1] == "weight_1"
@@ -283,7 +300,7 @@ class TestWriteTablesCsv:
 
     def test_sparse_coordinates_reparse(self, tmp_path, rng):
         table = ContingencyTable.from_counts(random_table(rng, 8, 6, total=900))
-        model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.6)] * 2, n_dims=2)
+        model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.6)] * 2)
         write_tables_csv(model, tmp_path)
         header, rows = parse_csv(tmp_path / "rows.csv")
         coord_col = header.index("coord_2")
@@ -542,7 +559,7 @@ class TestRowFormatterMatchesCellFormatters:
         table = ContingencyTable.from_counts(random_table(rng, 12, 9, total=900),
                                              row_labels=labels)
         if sparse:
-            model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 3, n_dims=3)
+            model = fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 3)
             weights = np.column_stack([f.u for f in model.factors])
             contrib = contributions(model).row_contrib
             n_dims = 3

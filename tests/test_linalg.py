@@ -352,6 +352,8 @@ class TestL1ConstrainedUnitVector:
     def test_rejects_bad_input(self):
         with pytest.raises(DegenerateInputError):
             l1_constrained_unit_vector(np.zeros(3), 1.5)
+        with pytest.raises(DegenerateInputError, match="empty vector"):
+            l1_constrained_unit_vector(np.zeros(0), 1.0)
         with pytest.raises(InputError):
             l1_constrained_unit_vector(np.ones(4), 0.5)
         with pytest.raises(InputError):

@@ -107,10 +107,10 @@ SIGNATURES = {
         "l1_constrained_unit_vector": ["x", "c"],
     },
     "sparseca.sparse": {
-        "column_sparse_coordinates": ["p", "r", "c", "a", "eigenvalue", "spread"],
+        "column_sparse_coordinates": ["p", "r", "c", "a", "spread"],
         "coordinates_from_weights": ["p", "r", "c", "u", "v", "eigenvalue"],
         "explained_variance": ["z", "weight_columns"],
-        "fit_sparse_ca": ["table", "constraints", "n_dims", "variant", "col_scale"],
+        "fit_sparse_ca": ["table", "constraints", "variant", "col_scale"],
         "nnz_target_search": ["z", "target", "axis"],
         "pmd_rank1": ["z", "constraint", "max_iter", "tol"],
         "ppmd_deflate": ["z", "factor"],

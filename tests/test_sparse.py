@@ -424,7 +424,7 @@ class TestColumnSparseCoordinates:
         lam = d.eigenvalues[k]
         a = d.row_coords[:, k]
         bary = column_sparse_coordinates(
-            d.frequencies, d.row_masses, d.col_masses, a, lam, spread="barycentric"
+            d.frequencies, d.row_masses, d.col_masses, a, spread="barycentric"
         )
         np.testing.assert_allclose(
             bary, np.sqrt(lam) * d.col_coords[:, k], atol=1e-10
@@ -438,7 +438,6 @@ class TestColumnSparseCoordinates:
             d.row_masses,
             d.col_masses,
             d.row_coords[:, 0],
-            lam,
             spread="rescaled",
         )
         assert b**2 @ d.col_masses == pytest.approx(lam, abs=1e-12)
@@ -450,22 +449,10 @@ class TestColumnSparseCoordinates:
         p = np.outer(r, c)
         a = np.array([1.0, 1.0, -1.0])
         a -= a @ r
-        lam = float(a**2 @ r)
-        bary = column_sparse_coordinates(p, r, c, a, lam, spread="barycentric")
+        bary = column_sparse_coordinates(p, r, c, a, spread="barycentric")
         np.testing.assert_allclose(bary, 0.0, atol=1e-14)
         with pytest.raises(DegenerateInputError):
-            column_sparse_coordinates(p, r, c, a, lam, spread="rescaled")
-
-    def test_mismatched_eigenvalue_raises(self, rng):
-        d = fit_ca(ContingencyTable.from_counts(random_table(rng, 7, 6)))
-        with pytest.raises(SparseCAError, match="weighted variance"):
-            column_sparse_coordinates(
-                d.frequencies,
-                d.row_masses,
-                d.col_masses,
-                d.row_coords[:, 0],
-                2.0 * d.eigenvalues[0],
-            )
+            column_sparse_coordinates(p, r, c, a, spread="rescaled")
 
     def test_unknown_spread(self, rng):
         d = fit_ca(ContingencyTable.from_counts(random_table(rng, 5, 4)))
@@ -475,7 +462,6 @@ class TestColumnSparseCoordinates:
                 d.row_masses,
                 d.col_masses,
                 d.row_coords[:, 0],
-                d.eigenvalues[0],
                 spread="projected",
             )
 
@@ -570,7 +556,7 @@ class TestFitSparseCa:
         t = ContingencyTable.from_counts(random_table(rng, 8, 6))
         d = fit_ca(t, n_dims=2)
         model = fit_sparse_ca(
-            t, inactive(t.shape), n_dims=2, variant="doubly_sparse"
+            t, [inactive(t.shape)] * 2, variant="doubly_sparse"
         )
         for k in range(2):
             sign = np.sign(model.row_coords[0, k] * d.row_coords[0, k]) or 1.0
@@ -586,7 +572,7 @@ class TestFitSparseCa:
 
     def test_deflation_chain_annihilation(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 7))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.6), n_dims=3)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 3)
         z = model.residuals
         for factor in model.factors:
             deflated = ppmd_deflate(z, factor)
@@ -596,7 +582,7 @@ class TestFitSparseCa:
 
     def test_factor_feasibility(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 7))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.55), n_dims=2)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.55)] * 2)
         bu, bv = SparsityConstraint.coupled(0.55).budgets(t.shape)
         for factor in model.factors:
             assert np.abs(factor.u).sum() <= bu + 1e-8
@@ -604,7 +590,7 @@ class TestFitSparseCa:
 
     def test_eigenvalue_measured_on_original_residuals(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 8, 7))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.6), n_dims=2)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 2)
         f2 = model.factors[1]
         assert f2.alpha == pytest.approx(
             abs(f2.u @ model.residuals @ f2.v), abs=1e-12
@@ -613,7 +599,7 @@ class TestFitSparseCa:
 
     def test_weights_differ_from_coordinates(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.5), n_dims=1)
+        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.5))
         factor = model.factors[0]
         assert factor.nnz_v < 8
         b = model.col_coords[:, 0]
@@ -624,13 +610,13 @@ class TestFitSparseCa:
         # music has residual rank 6: six unpenalized dimensions leave about
         # 1e-32 of the squared norm, so a seventh has nothing to fit
         music = colors_of_music()
-        assert fit_sparse_ca(music, SparsityConstraint.coupled(1.0), n_dims=6).n_dims == 6
+        assert fit_sparse_ca(music, [SparsityConstraint.coupled(1.0)] * 6).n_dims == 6
         with pytest.raises(DegenerateInputError, match="roundoff"):
-            fit_sparse_ca(music, SparsityConstraint.coupled(1.0), n_dims=7)
+            fit_sparse_ca(music, [SparsityConstraint.coupled(1.0)] * 7)
 
     def test_explained_fractions_behave(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.7), n_dims=4)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.7)] * 4)
         assert np.all(model.explained_ratios >= 0.0)
         assert np.all(model.explained_cumulative <= 1.0 + 1e-12)
         assert np.all(np.diff(model.explained_cumulative) >= -1e-12)
@@ -642,7 +628,7 @@ class TestFitSparseCa:
 
     def test_gram_report(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.6), n_dims=2)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 2)
         g = model.gram_report
         np.testing.assert_allclose(np.diag(g.u_gram), 1.0, atol=1e-9)
         np.testing.assert_allclose(np.diag(g.v_gram), 1.0, atol=1e-9)
@@ -657,8 +643,7 @@ class TestFitSparseCa:
         t = ContingencyTable.from_counts(random_table(rng, 10, 8))
         model = fit_sparse_ca(
             t,
-            SparsityConstraint.unpenalized_rows(1.6),
-            n_dims=2,
+            [SparsityConstraint.unpenalized_rows(1.6)] * 2,
             variant="column_sparse",
         )
         for k, factor in enumerate(model.factors):
@@ -707,8 +692,7 @@ class TestFitSparseCa:
         t = ContingencyTable.from_counts(random_table(rng, 12, 30, total=3000))
         model = fit_sparse_ca(
             t,
-            SparsityConstraint.nonzero_target(20, "cols"),
-            n_dims=2,
+            [SparsityConstraint.nonzero_target(20, "cols")] * 2,
             variant="column_sparse",
         )
         assert [f.nnz_v >= 20 for f in model.factors] == [True, True]
@@ -733,7 +717,7 @@ class TestFitSparseCa:
             return real(*args, **kwargs)
 
         monkeypatch.setattr("sparseca.sparse.pmd_rank1", counting)
-        model = fit_sparse_ca(t, target, n_dims=2, variant=variant)
+        model = fit_sparse_ca(t, [target] * 2, variant=variant)
         assert len(calls) == refits
         z = model.residuals
         for factor in model.factors:
@@ -744,20 +728,27 @@ class TestFitSparseCa:
             assert (factor.n_iter, factor.converged) == (own.n_iter, own.converged)
             z = ppmd_deflate(z, factor)
 
+    def test_dimension_rule_matches_fit_ca(self, rng):
+        # one rule, with fit_ca's messages, for both fits
+        row = ContingencyTable.from_counts([[3, 1, 2]])
+        with pytest.raises(InputError, match="at least two rows and two columns"):
+            fit_ca(row)
+        with pytest.raises(InputError, match="at least two rows and two columns"):
+            fit_sparse_ca(row, SparsityConstraint.coupled(0.9))
+        t = ContingencyTable.from_counts(random_table(rng, 5, 4))
+        with pytest.raises(InputError, match=r"n_dims must be in \[1, 3\], got 0"):
+            fit_sparse_ca(t, [])
+
     def test_dimension_validation(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 5, 4))
-        with pytest.raises(InputError):
-            fit_sparse_ca(t, SparsityConstraint.coupled(0.6), n_dims=4)
-        with pytest.raises(InputError):
-            fit_sparse_ca(
-                t, [SparsityConstraint.coupled(0.6)] * 2, n_dims=3
-            )
+        with pytest.raises(InputError, match=r"n_dims must be in \[1, 3\], got 4"):
+            fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 4)
 
 
 class TestSparseContributions:
     def test_reduces_to_standard_formula_when_dense(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 7, 6))
-        model = fit_sparse_ca(t, inactive(t.shape), n_dims=2)
+        model = fit_sparse_ca(t, [inactive(t.shape)] * 2)
         tab = contributions(model)
         for k in range(2):
             direct = (
@@ -771,14 +762,14 @@ class TestSparseContributions:
 
     def test_axis_columns_sum_to_one(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 8, 7))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.6), n_dims=2)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 2)
         tab = contributions(model)
         np.testing.assert_allclose(tab.row_contrib.sum(axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(tab.col_contrib.sum(axis=0), 1.0, atol=1e-10)
 
     def test_zero_weight_flags(self, rng):
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
-        model = fit_sparse_ca(t, SparsityConstraint.coupled(0.42), n_dims=2)
+        model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.42)] * 2)
         weights = model.col_weights
         assert weights.shape == (8, 2)
         assert (weights == 0.0).any()

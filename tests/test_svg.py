@@ -37,7 +37,7 @@ def model():
 def sparse_model():
     rng = np.random.default_rng(20240817)
     table = ContingencyTable.from_counts(random_table(rng, 8, 6, total=900))
-    return fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 2, n_dims=2)
+    return fit_sparse_ca(table, [SparsityConstraint.coupled(0.5)] * 2)
 
 
 def parse(svg_text):
