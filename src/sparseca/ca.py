@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, SingularMarginError
+from .errors import DegenerateInputError, InputError, SingularMarginError
 from .linalg import full_svd
 
 
@@ -139,24 +139,27 @@ def standardized_residuals(p: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.nd
 
     Entry ``(i, j)`` is ``(p_ij - r_i c_j) / sqrt(r_i c_j)``. The squared
     Frobenius norm of the result equals the table's total inertia.
+    Raises ``DegenerateInputError`` unless every margin and every product
+    ``r_i c_j`` is positive; a product of positive margins can underflow.
     """
     r = np.asarray(r, dtype=float)
     c = np.asarray(c, dtype=float)
-    if r.min() <= 0 or c.min() <= 0:
-        raise InputError("margins must be strictly positive")
     expected = np.outer(r, c)
+    if r.min() <= 0 or c.min() <= 0 or expected.min() <= 0:
+        raise DegenerateInputError("margins and their products must be strictly positive")
     return (p - expected) / np.sqrt(expected)
 
 
-def total_inertia(table: ContingencyTable) -> float:
-    """Pearson's mean-square contingency of the table.
-
-    Sum over cells of squared independence deviations divided by the
-    expected frequencies; equals the sum of all eigenvalues of the fit.
-    """
+def _residual_matrices(table: ContingencyTable) -> tuple:
+    """``(P, r, c, Z)`` of the table: the one place the package derives Z."""
     p, r, c = correspondence_matrix(table)
-    expected = np.outer(r, c)
-    return float(((p - expected) ** 2 / expected).sum())
+    return p, r, c, standardized_residuals(p, r, c)
+
+
+def total_inertia(table: ContingencyTable) -> float:
+    """Pearson's mean-square contingency of the table, ``||Z||²`` as in
+    ``SparseCAModel``; equals the sum of all eigenvalues of the fit."""
+    return float((_residual_matrices(table)[3] ** 2).sum())
 
 
 @dataclass
@@ -241,8 +244,7 @@ def fit_ca(table: ContingencyTable, n_dims: int | None = None) -> CADecompositio
     max_dims = _dims_limit(table.shape, n_dims)
     if n_dims is None:
         n_dims = max_dims
-    p, r, c = correspondence_matrix(table)
-    z = standardized_residuals(p, r, c)
+    p, r, c, z = _residual_matrices(table)
     svd = full_svd(z)
     # the trailing singular value is the numerically-zero trivial direction
     sigma = svd.s[:max_dims]

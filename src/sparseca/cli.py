@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ca import correspondence_matrix, fit_ca, standardized_residuals, total_inertia
+from .ca import _residual_matrices, fit_ca, total_inertia
 from .cluster import (
     WARD_VARIANTS,
     aggregate_by_cluster,
@@ -134,11 +134,6 @@ def _read_table(args):
     return table
 
 
-def _residuals_of(table):
-    p, r, c = correspondence_matrix(table)
-    return standardized_residuals(p, r, c)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,7 +253,7 @@ def _cmd_sca(args):
 
 def _cmd_tune(args):
     table = _read_table(args)
-    z = _residuals_of(table)
+    z = _residual_matrices(table)[3]
     prior = _prior_factors(table, args.after)
     common = dict(criterion=args.criterion, prior_factors=prior,
                   orientation=args.orientation, seed=args.seed,
@@ -289,7 +284,7 @@ def _cmd_tune(args):
 
 def _cmd_paths(args):
     table = _read_table(args)
-    z = _residuals_of(table)
+    z = _residual_matrices(table)[3]
     prior = _prior_factors(table, args.after)
     wp = weight_paths(z, prior_factors=prior)
     out = _out_dir(args)

@@ -215,7 +215,7 @@ def typicality_zscores(
     deviation of a draw of the cluster total at the category's overall
     rate. Categories with a zero total, and categories present in every
     single observation (zero variance), are excluded with a warning;
-    their z entries are NaN.
+    their z entries are NaN. Totals whose products overflow raise.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
@@ -248,7 +248,10 @@ def typicality_zscores(
             stacklevel=2,
         )
 
-    expected = np.outer(k_i, k_j) / k
+    with np.errstate(over="ignore"):
+        expected = np.outer(k_i, k_j) / k
+    if not np.isfinite(expected).all():
+        raise InputError("cluster and category totals overflow the expected counts")
     variance = expected * (1.0 - k_j / k)
     live = (variance > 0) & ~excluded
     z = np.full((n_clusters, n_categories), np.nan)

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import ContingencyTable, _dims_limit, correspondence_matrix, standardized_residuals
+from .ca import ContingencyTable, _dims_limit, _residual_matrices
 from .errors import DegenerateInputError, InputError, SparseCAError
-from .linalg import _l1_project_rows, _leading_svd, _row_pick
+from .linalg import _column_signs, _l1_project_rows, _leading_svd
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
@@ -262,7 +262,8 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     ``nnz_target_search`` fit their budgets of one matrix as a
     shared-matrix stack; ``pmd_rank1`` is a stack of one member. The loop
     never warns: each caller warns for the members it uses that stopped
-    at ``max_iter`` (``_warn_unconverged``).
+    at ``max_iter`` (``_warn_unconverged``). The weights leave under the
+    SVDs' sign rule, ``linalg._column_signs``.
     """
     if start is None:
         start = _leading_svd(z)[1][..., 0]
@@ -372,11 +373,8 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
             if zs.ndim == 3:
                 zs, zts = zs[keep], zts[keep]
 
-    u, v, change = u_out, v_out, change_out
-    # sign convention: the largest-magnitude column weight is positive
-    flip = _row_pick(v, np.abs(v).argmax(axis=-1)) < 0
-    if np.count_nonzero(flip):
-        u[flip], v[flip] = -u[flip], -v[flip]
+    sign = _column_signs(v_out.T).T
+    u, v, change = u_out * sign, v_out * sign, change_out
     alpha = np.matmul(np.matmul(u[:, None, :], z), v[:, :, None])[:, 0, 0]
     if np.count_nonzero(alpha < 0.0):
         raise SparseCAError(
@@ -472,7 +470,7 @@ def _deflate_through(z: np.ndarray, prior_factors, total=None) -> np.ndarray:
 
 
 def coordinates_from_weights(
-    p: np.ndarray,
+    z: np.ndarray,
     r: np.ndarray,
     c: np.ndarray,
     u: np.ndarray,
@@ -481,11 +479,11 @@ def coordinates_from_weights(
 ) -> tuple:
     """Map weight vectors to row and column coordinates.
 
-    The row coordinate is the margin-scaled image of ``v`` through the
-    centered frequency matrix, rescaled so its weighted variance equals
-    ``eigenvalue``; symmetrically for columns through ``u``. With exact
-    singular vectors and the matching eigenvalue this reproduces the
-    standard CA coordinates. Signs follow the weight vectors: the row
+    The row coordinate is the margin-scaled image of ``v`` through ``z``,
+    the standardized residuals of a table with margins ``r`` and ``c``,
+    rescaled so its weighted variance equals ``eigenvalue``; likewise for
+    columns through ``u``. Exact singular vectors and their eigenvalue
+    give the standard CA coordinates. Signs follow the weights: the row
     coordinate keeps a nonnegative inner product with the margin-scaled
     ``u``, the column coordinate with the margin-scaled ``v``.
     """
@@ -493,7 +491,6 @@ def coordinates_from_weights(
         raise DegenerateInputError("coordinates need a positive eigenvalue")
     if abs(np.linalg.norm(u) - 1.0) > 1e-8 or abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise InputError("weights must be unit vectors")
-    z = standardized_residuals(p, r, c)
     scale = np.sqrt(eigenvalue)
 
     zv = z @ v
@@ -776,8 +773,7 @@ def fit_sparse_ca(
         )
 
     _dims_limit(table.shape, len(constraints))
-    p, r, c = correspondence_matrix(table)
-    z0 = standardized_residuals(p, r, c)
+    p, r, c, z0 = _residual_matrices(table)
 
     factors = []
     a_cols, b_cols = [], []
@@ -804,7 +800,7 @@ def fit_sparse_ca(
             alpha = -alpha
         factor.alpha = alpha
         factor.eigenvalue = alpha**2
-        a, b = coordinates_from_weights(p, r, c, factor.u, factor.v, factor.eigenvalue)
+        a, b = coordinates_from_weights(z0, r, c, factor.u, factor.v, factor.eigenvalue)
         if variant == "column_sparse":
             b = column_sparse_coordinates(p, r, c, a, spread=col_scale)
         factors.append(factor)

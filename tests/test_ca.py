@@ -10,7 +10,7 @@ from sparseca.ca import (
     standardized_residuals,
     total_inertia,
 )
-from sparseca.errors import InputError, SingularMarginError
+from sparseca.errors import DegenerateInputError, InputError, SingularMarginError
 
 from conftest import random_table
 
@@ -120,6 +120,13 @@ class TestStandardizedResiduals:
         z = standardized_residuals(p, r, c)
         assert (z**2).sum() == pytest.approx(total_inertia(t), abs=1e-12)
 
+    def test_underflowing_margin_product_rejected(self):
+        # both margins are positive, but 1e-300 * 1e-300 is 0 in floating point
+        r = np.array([1e-300, 1.0])
+        c = np.array([1.0, 1e-300])
+        with pytest.raises(DegenerateInputError, match="products must be strictly positive"):
+            standardized_residuals(np.array([[0.0, 1e-300], [1.0, 0.0]]), r, c)
+
 
 class TestFitCa:
     def test_two_by_two_single_axis(self):
@@ -208,6 +215,12 @@ class TestTotalInertia:
     def test_diagonal_two_by_two(self):
         t = ContingencyTable([[2, 0], [0, 2]], ["a", "b"], ["x", "y"])
         assert total_inertia(t) == pytest.approx(1.0, abs=1e-14)
+
+    def test_underflowing_margins_raise(self):
+        # (P - rc')² / rc' is 0 / 0 here: a NaN, which passes a `<= 1e-14` test
+        t = ContingencyTable([[0, 1e-300], [1, 0]], ["x", "y"], ["a", "b"])
+        with pytest.raises(DegenerateInputError, match="products must be strictly positive"):
+            total_inertia(t)
 
 
 class TestContributions:

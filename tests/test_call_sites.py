@@ -1,13 +1,16 @@
 """Who may call what: one of each thing, and each used where it belongs.
 
-Only standard CA takes a full thin SVD, as it reports every eigenvalue;
-the searches take leading singular vectors from the Gram matrix
-(``linalg._leading_svd``). Every rank-1 fit runs through the one
-alternating loop, ``sparse._rank1_fits``, and only that loop and the
-single-vector projection call the row projection. Only ``sparse`` chains
-dimensions: it alone deflates, through ``_deflate_through``, which the
-searches call to re-deflate their prior dimensions. A site is a module,
-or a function in it, of the package.
+One private helper, ``ca._residual_matrices``, derives the correspondence
+matrix and the standardized residuals that every fit, the inertia check
+and the searches work on. Only standard CA takes a full thin SVD, as it
+reports every eigenvalue; the searches take leading singular vectors
+from the Gram matrix (``linalg._leading_svd``). Every rank-1 fit runs
+through the one alternating loop, ``sparse._rank1_fits``, and only that
+loop and the single-vector projection call the row projection. The two
+SVDs and the loop share one sign rule, ``linalg._column_signs``. Only
+``sparse`` chains dimensions: it alone deflates, through
+``_deflate_through``, which the searches call to re-deflate their prior
+dimensions. A site is a module, or a function in it, of the package.
 """
 
 import ast
@@ -20,6 +23,9 @@ import sparseca
 PACKAGE = Path(sparseca.__file__).parent
 
 CALLERS = {
+    "correspondence_matrix": {"ca._residual_matrices"},
+    "standardized_residuals": {"ca._residual_matrices"},
+    "_column_signs": {"linalg.full_svd", "linalg._leading_svd", "sparse._rank1_fits"},
     "full_svd": {"ca"},
     "_l1_project_rows": {
         "linalg._l1_project_rows",

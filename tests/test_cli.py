@@ -35,6 +35,16 @@ def small_csv(tmp_path):
     return path
 
 
+# one light form of each subcommand that reads a table
+TABLE_COMMANDS = [
+    ["ca"],
+    ["sca", "--sumabs", "0.9", "--dims", "1"],
+    ["tune"],
+    ["paths"],
+    ["cluster", "--k", "2", "--dims", "1"],
+]
+
+
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.reader(handle))
@@ -319,17 +329,7 @@ class TestTuneCommand:
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ca"],
-        ["sca", "--sumabs", "0.9", "--dims", "1"],
-        ["tune"],
-        ["paths"],
-        ["cluster", "--k", "2", "--dims", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
 def test_zero_inertia_table_is_validation_error(tmp_path, capsys, argv):
     # rows proportional to each other: the table is exactly independent
     path = tmp_path / "indep.csv"
@@ -337,6 +337,31 @@ def test_zero_inertia_table_is_validation_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 2
     assert "total inertia" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+def test_underflowing_margins_are_validation_error(tmp_path, capsys, argv):
+    # every margin is positive, but the product 1e-300 * 1e-300 is 0
+    path = tmp_path / "tiny.csv"
+    path.write_text("id,a,b\nx,0,1e-300\ny,1,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "products must be strictly positive" in err
+    assert not out.exists()
+
+
+def test_overflowing_typicality_is_validation_error(tmp_path, capsys):
+    # cluster and category totals of 1e300 multiply past the largest float
+    path = tmp_path / "huge.csv"
+    path.write_text("id,a,b\nx,0,1e300\ny,1e300,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", str(path), "--k", "2", "--dims", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "overflow the expected counts" in err
     assert not out.exists()
 
 

@@ -357,6 +357,11 @@ class TestTypicalityZscores:
         with pytest.raises(InputError):
             typicality_zscores(np.array([[1.0, 2.0]]), top_m=0)
 
+    def test_overflowing_expected_counts_rejected(self):
+        # 1e300 * 1e300 overflows: every z would be NaN
+        with pytest.raises(InputError, match="overflow the expected counts"):
+            typicality_zscores(np.array([[0.0, 1e300], [1e300, 0.0]]))
+
     def test_custom_labels_flow_through(self):
         table = typicality_zscores(
             np.array([[10.0, 0.0], [0.0, 10.0]]),

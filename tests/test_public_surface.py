@@ -108,7 +108,7 @@ SIGNATURES = {
     },
     "sparseca.sparse": {
         "column_sparse_coordinates": ["p", "r", "c", "a", "spread"],
-        "coordinates_from_weights": ["p", "r", "c", "u", "v", "eigenvalue"],
+        "coordinates_from_weights": ["z", "r", "c", "u", "v", "eigenvalue"],
         "explained_variance": ["z", "weight_columns"],
         "fit_sparse_ca": ["table", "constraints", "variant", "col_scale"],
         "nnz_target_search": ["z", "target", "axis"],

@@ -366,7 +366,7 @@ class TestCoordinatesFromWeights:
         d = fit_ca(ContingencyTable.from_counts(random_table(rng, 7, 5)))
         for k in range(3):
             a, b = coordinates_from_weights(
-                d.frequencies,
+                d.residuals,
                 d.row_masses,
                 d.col_masses,
                 d.row_vectors[:, k],
@@ -382,7 +382,7 @@ class TestCoordinatesFromWeights:
         factor = pmd_rank1(z, SparsityConstraint.coupled(0.6))
         lam = float(factor.u @ z @ factor.v) ** 2
         a, b = coordinates_from_weights(
-            d.frequencies, d.row_masses, d.col_masses, factor.u, factor.v, lam
+            d.residuals, d.row_masses, d.col_masses, factor.u, factor.v, lam
         )
         assert a**2 @ d.row_masses == pytest.approx(lam, abs=1e-12)
         assert b**2 @ d.col_masses == pytest.approx(lam, abs=1e-12)
@@ -397,7 +397,7 @@ class TestCoordinatesFromWeights:
         u = rng.normal(size=6)
         u /= np.linalg.norm(u)
         lam = 0.21
-        a, _ = coordinates_from_weights(p, r, c, u, v, lam)
+        a, _ = coordinates_from_weights(d.residuals, r, c, u, v, lam)
         direct = ((p - np.outer(r, c)) @ (v / np.sqrt(c))) / r
         direct *= np.sqrt(lam / (direct**2 @ r))
         if direct @ (u / np.sqrt(r)) < 0:
@@ -408,7 +408,7 @@ class TestCoordinatesFromWeights:
         d = fit_ca(ContingencyTable.from_counts(random_table(rng, 5, 4)))
         with pytest.raises(DegenerateInputError):
             coordinates_from_weights(
-                d.frequencies,
+                d.residuals,
                 d.row_masses,
                 d.col_masses,
                 d.row_vectors[:, 0],
