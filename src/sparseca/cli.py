@@ -1,10 +1,12 @@
 """Command-line surface: ca, sca, tune, paths, cluster, dtm.
 
 Exit codes: 0 on success, 2 when inputs or flags fail validation, 1 on
-runtime failures such as unreadable or unwritable paths.
+runtime failures such as unreadable or unwritable paths or a closed
+standard output.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -347,17 +349,29 @@ def _cmd_dtm(args):
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        # one rule for every subcommand's --dims, checked before any table is read
-        if getattr(args, "dims", None) is not None and args.dims < 1:
-            raise InputError(f"--dims must be at least 1, got {args.dims}")
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help, or a usage error argparse has reported
+            code = int(exc.code or 0)
+        else:
+            # one rule for every subcommand's --dims, checked before any table is read
+            if getattr(args, "dims", None) is not None and args.dims < 1:
+                raise InputError(f"--dims must be at least 1, got {args.dims}")
+            code = args.func(args)
+        # a closed stdout fails here, buffered or not, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        # as Python's signal docs advise: the flush at exit then writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ literal "0" so sparsity survives grep.
 import csv
 import io
 import os
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -122,16 +122,28 @@ def _row_text(row: np.ndarray, spec: str) -> str:
     return ",".join([spec] * len(row)) % tuple((row + 0.0).tolist())
 
 
-def _write_labeled_rows(handle, labels, texts) -> None:
-    """Write one ``label,text`` line per label, the label quoted as the
-    csv writer quotes a cell that more cells follow."""
+def _write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then each row, as the csv writer
+    quotes them."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_labeled_rows(path, header, labels, texts) -> None:
+    """Write a CSV file: the header, then one ``label,text`` line per
+    label, the label quoted as the csv writer quotes a cell that more
+    cells follow."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    for label, text in zip(labels, texts):
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow([label, ""])
-        handle.write(f"{buffer.getvalue()[:-1]}{text}\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for label, text in zip(labels, texts):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow([label, ""])
+            handle.write(f"{buffer.getvalue()[:-1]}{text}\n")
 
 
 def write_contingency_csv(table: ContingencyTable, path) -> None:
@@ -146,9 +158,7 @@ def write_contingency_csv(table: ContingencyTable, path) -> None:
         _row_text(row, "%d") if whole else ",".join(map(_format_count, row))
         for row, whole in zip(counts, integral)
     )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(["id", *table.col_labels])
-        _write_labeled_rows(handle, table.row_labels, texts)
+    _write_labeled_rows(path, ["id", *table.col_labels], table.row_labels, texts)
 
 
 def build_dtm(
@@ -240,11 +250,6 @@ def format_sig(value: float) -> str:
     return f"{float(value):.6g}"
 
 
-def _open_writer(path):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
-
-
 def write_tables_csv(model, out_dir) -> list:
     """Serialize a fitted model to eigenvalues.csv, rows.csv, cols.csv.
 
@@ -267,14 +272,10 @@ def write_tables_csv(model, out_dir) -> list:
 
     paths = []
     path = out_dir / "eigenvalues.csv"
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["dim", "eigenvalue", "percent", "cumulative_percent"])
-        running = 0.0
-        for k, lam in enumerate(model.eigenvalues, start=1):
-            share = 100.0 * lam / inertia
-            running += share
-            writer.writerow([k, format_sig(lam), format_sig(share), format_sig(running)])
+    shares = [100.0 * lam / inertia for lam in model.eigenvalues]
+    figures = zip(model.eigenvalues, shares, accumulate(shares))
+    _write_rows(path, ["dim", "eigenvalue", "percent", "cumulative_percent"],
+                ([k, *map(format_sig, row)] for k, row in enumerate(figures, start=1)))
     paths.append(path)
 
     for name, labels, coords, contrib_side, weights in (
@@ -284,18 +285,15 @@ def write_tables_csv(model, out_dir) -> list:
          model.col_weights if sparse else None),
     ):
         path = out_dir / name
-        handle, writer = _open_writer(path)
-        with handle:
-            header = ["label"]
-            for d in range(1, n_dims + 1):
-                if weights is not None:
-                    header.append(f"weight_{d}")
-                header += [f"contrib_{d}", f"coord_{d}"]
-            writer.writerow(header)
-            # per dimension: [weight,] contrib, coord
-            columns = [contrib_side, coords] if weights is None else [weights, contrib_side, coords]
-            cells = np.stack([c[:, :n_dims] for c in columns], axis=2).reshape(len(coords), -1)
-            _write_labeled_rows(handle, labels, (_row_text(row, "%.6g") for row in cells))
+        header = ["label"]
+        for d in range(1, n_dims + 1):
+            if weights is not None:
+                header.append(f"weight_{d}")
+            header += [f"contrib_{d}", f"coord_{d}"]
+        # per dimension: [weight,] contrib, coord
+        columns = [contrib_side, coords] if weights is None else [weights, contrib_side, coords]
+        cells = np.stack([c[:, :n_dims] for c in columns], axis=2).reshape(len(coords), -1)
+        _write_labeled_rows(path, header, labels, (_row_text(row, "%.6g") for row in cells))
         paths.append(path)
     return paths
 
@@ -305,17 +303,16 @@ def write_tuning_csv(result: TuningResult, path) -> None:
     grid = result.grid
     axes = (grid.axis1,) if grid.axis2 is None else (grid.axis1, grid.axis2)
     optimum = tuple(np.atleast_1d(result.optimum))
-    handle, writer = _open_writer(path)
-    with handle:
-        head = ["value"] if grid.axis2 is None else ["value_u", "value_v"]
-        writer.writerow([*head, "criterion", "nnz_u", "nnz_v", "fit", "selected"])
-        for cell in np.ndindex(grid.values.shape):
-            budgets = tuple(axis[i] for axis, i in zip(axes, cell))
-            writer.writerow([
-                *map(format_sig, budgets), format_sig(grid.values[cell]),
-                int(grid.nnz_u[cell]), int(grid.nnz_v[cell]),
-                format_sig(grid.fit[cell]), int(budgets == optimum),
-            ])
+    head = ["value"] if grid.axis2 is None else ["value_u", "value_v"]
+    rows = []
+    for cell in np.ndindex(grid.values.shape):
+        budgets = tuple(axis[i] for axis, i in zip(axes, cell))
+        rows.append([
+            *map(format_sig, budgets), format_sig(grid.values[cell]),
+            int(grid.nnz_u[cell]), int(grid.nnz_v[cell]),
+            format_sig(grid.fit[cell]), int(budgets == optimum),
+        ])
+    _write_rows(path, [*head, "criterion", "nnz_u", "nnz_v", "fit", "selected"], rows)
 
 
 def write_clusters_csv(labels, assignment, path) -> None:
@@ -323,18 +320,14 @@ def write_clusters_csv(labels, assignment, path) -> None:
     assignment = np.asarray(assignment, dtype=int)
     if len(labels) != assignment.size:
         raise InputError(f"{assignment.size} assignments for {len(labels)} labels")
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["label", "cluster"])
-        for label, cluster in zip(labels, assignment):
-            writer.writerow([label, int(cluster)])
+    _write_rows(path, ["label", "cluster"],
+                ([label, int(cluster)] for label, cluster in zip(labels, assignment)))
 
 
 def write_typicality_csv(table, path) -> None:
     """Ranked typical categories per cluster."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["cluster", "rank", "category", "z"])
-        for i, ranked in enumerate(table.ranked):
-            for rank, (category, z) in enumerate(ranked, start=1):
-                writer.writerow([table.cluster_labels[i], rank, category, format_sig(z)])
+    _write_rows(path, ["cluster", "rank", "category", "z"], (
+        [table.cluster_labels[i], rank, category, format_sig(z)]
+        for i, ranked in enumerate(table.ranked)
+        for rank, (category, z) in enumerate(ranked, start=1)
+    ))

@@ -3,6 +3,10 @@
 Output is deterministic text: same artifact and spec, same bytes. Each
 plot area carries data-* attributes describing the affine viewport
 mapping so coordinates can be recovered from the file.
+
+``_el`` alone writes markup: attribute syntax, tag closing, escaping.
+Both maps share ``_point_map``, paths and curves share ``_series``,
+curves and contours share ``_optimum``.
 """
 
 from dataclasses import dataclass
@@ -57,6 +61,26 @@ def _esc(text: str) -> str:
     )
 
 
+def _attrs(attrs) -> str:
+    """Attributes in keyword order, escaped, those set to None left out;
+    a name's ``_`` is written ``-``, and a trailing one (``class_``)
+    dropped."""
+    return "".join([
+        f' {name.rstrip("_").replace("_", "-")}="{_esc(value)}"'
+        for name, value in attrs.items() if value is not None
+    ])
+
+
+def _el(tag, content=None, **attrs) -> str:
+    """One element: self-closing without ``content``, children one per
+    line when ``content`` is a list of elements, else escaped text."""
+    if content is None:
+        return f"<{tag}{_attrs(attrs)}/>"
+    if isinstance(content, list):
+        return f"<{tag}{_attrs(attrs)}>\n" + "\n".join(content) + f"\n</{tag}>"
+    return f"<{tag}{_attrs(attrs)}>{_esc(content)}</{tag}>"
+
+
 class _Frame:
     """Affine map from a data rectangle to a pixel rectangle (y flipped)."""
 
@@ -76,13 +100,18 @@ class _Frame:
     def y(self, v) -> float:
         return self.y0 + self.height - (v - self.ymin) / (self.ymax - self.ymin) * self.height
 
-    def attrs(self) -> str:
-        return (
-            f' data-xmin="{_num(self.xmin)}" data-xmax="{_num(self.xmax)}"'
-            f' data-ymin="{_num(self.ymin)}" data-ymax="{_num(self.ymax)}"'
-            f' data-plot-x="{_num(self.x0)}" data-plot-y="{_num(self.y0)}"'
-            f' data-plot-width="{_num(self.width)}" data-plot-height="{_num(self.height)}"'
+    def data(self) -> dict:
+        """The mapping as ``_el`` attributes."""
+        return dict(
+            data_xmin=_num(self.xmin), data_xmax=_num(self.xmax),
+            data_ymin=_num(self.ymin), data_ymax=_num(self.ymax),
+            data_plot_x=_num(self.x0), data_plot_y=_num(self.y0),
+            data_plot_width=_num(self.width), data_plot_height=_num(self.height),
         )
+
+    def attrs(self) -> str:
+        """The mapping as markup for a start tag written by hand."""
+        return _attrs(self.data())
 
 
 def _padded(values, pad):
@@ -123,24 +152,30 @@ def _place_labels(entries):
     return out
 
 
-def _svg_document(body, frame=None):
-    attrs = frame.attrs() if frame is not None else ""
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}"'
-        f' viewBox="0 0 {WIDTH} {HEIGHT}"{attrs}>',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        body,
-        "</svg>\n",
-    ]
-    return "\n".join(parts)
+def _svg_document(body, frame):
+    background = _el("rect", x=0, y=0, width=WIDTH, height=HEIGHT, fill="#ffffff")
+    return _el(
+        "svg", [background, body], xmlns="http://www.w3.org/2000/svg", width=WIDTH,
+        height=HEIGHT, viewBox=f"0 0 {WIDTH} {HEIGHT}", **frame.data(),
+    ) + "\n"
 
 
-def _text(px, py, content, size=10, anchor="start", color="#222222", extra=""):
-    return (
-        f'<text x="{_px(px)}" y="{_px(py)}" font-size="{size}"'
-        f' font-family="sans-serif" text-anchor="{anchor}" fill="{color}"{extra}>'
-        f"{_esc(content)}</text>"
-    )
+def _text(px, py, content, size=10, anchor="start", color="#222222", **attrs):
+    return _el("text", content, x=_px(px), y=_px(py), font_size=size,
+               font_family="sans-serif", text_anchor=anchor, fill=color, **attrs)
+
+
+def _x_caption(caption):
+    return _text(WIDTH / 2, HEIGHT - 16, caption, anchor="middle")
+
+
+def _y_caption(caption):
+    return _text(16, MARGIN - 10, caption)
+
+
+def _line(x1, y1, x2, y2, color, class_=None, **data):
+    return _el("line", class_=class_, x1=_px(x1), y1=_px(y1), x2=_px(x2), y2=_px(y2),
+               stroke=color, stroke_width=1, **data)
 
 
 def _axis_cross(frame):
@@ -148,17 +183,29 @@ def _axis_cross(frame):
     parts = []
     if frame.xmin < 0 < frame.xmax:
         x = frame.x(0.0)
-        parts.append(
-            f'<line x1="{_px(x)}" y1="{_px(frame.y0)}" x2="{_px(x)}"'
-            f' y2="{_px(frame.y0 + frame.height)}" stroke="#bbbbbb" stroke-width="1"/>'
-        )
+        parts.append(_line(x, frame.y0, x, frame.y0 + frame.height, "#bbbbbb"))
     if frame.ymin < 0 < frame.ymax:
         y = frame.y(0.0)
-        parts.append(
-            f'<line x1="{_px(frame.x0)}" y1="{_px(y)}" x2="{_px(frame.x0 + frame.width)}"'
-            f' y2="{_px(y)}" stroke="#bbbbbb" stroke-width="1"/>'
-        )
+        parts.append(_line(frame.x0, y, frame.x0 + frame.width, y, "#bbbbbb"))
     return parts
+
+
+def _series(xs, ys, color, class_=None, **data):
+    """A dot for one point, else a polyline through ``(xs[i], ys[i])``,
+    formatted as ``_px`` does in one ``%``."""
+    if len(xs) == 1:
+        return _el("circle", class_=class_, cx=_px(xs[0]), cy=_px(ys[0]), r=2, fill=color,
+                   **data)
+    xy = np.column_stack([xs, ys]).ravel().tolist()
+    points = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(xy)
+    return _el("polyline", points=points, fill="none", stroke=color, stroke_width=1.2,
+               class_=class_, **data)
+
+
+def _optimum(frame, x, y, **data):
+    """The selected cell, ringed."""
+    return _el("circle", class_="optimum", cx=_px(frame.x(x)), cy=_px(frame.y(y)), r=5,
+               fill="none", stroke=COL_COLOR, stroke_width=2, **data)
 
 
 def _check_dims(dims, n_dims):
@@ -169,68 +216,59 @@ def _check_dims(dims, n_dims):
             raise InputError(f"dimension {d} out of range for a {n_dims}-dim fit")
 
 
-def _plotted_coords(coords, dims):
+def _shown(model, spec, side):
+    """Indices of the items a map shows: every one, or with "nonzero_only"
+    a sparse fit's items with a nonzero weight on a plotted dimension."""
+    coords = model.row_coords if side == "row" else model.col_coords
+    if spec.label_filter == "all" or not isinstance(model, SparseCAModel):
+        return np.arange(len(coords))
+    weights = model.row_weights if side == "row" else model.col_weights
+    return np.flatnonzero(np.any(weights[:, list(spec.dims)] != 0, axis=1))
+
+
+def _axis_captions(model, dims):
+    """Each plotted dimension's eigenvalue and share of the inertia."""
+    return [
+        caption(f"dim {d + 1} ({model.eigenvalues[d]:.4g},"
+                f" {100 * model.eigenvalues[d] / model.total_inertia:.1f}%)")
+        for caption, d in zip((_x_caption, _y_caption), dims)
+    ]
+
+
+def _point_map(model, dims, coords, labels, marker, size=10, legend=()):
+    """A labelled-point map of ``coords`` on ``dims``: axis cross,
+    ``marker(k, px, py, label)`` for each point, the placed labels, then
+    ``legend`` and axis captions."""
     xs = coords[:, dims[0]]
     ys = coords[:, dims[1]] if len(dims) == 2 else np.zeros(len(coords))
-    return xs, ys
-
-
-def _active_mask(model, dims, side):
-    """Items with a nonzero weight on at least one plotted dimension."""
-    if not isinstance(model, SparseCAModel):
-        size = len(model.row_coords) if side == "row" else len(model.col_coords)
-        return np.ones(size, dtype=bool)
-    weights = model.row_weights if side == "row" else model.col_weights
-    return np.any(weights[:, list(dims)] != 0, axis=1)
-
-
-def _axis_captions(model, dims, frame):
-    eigenvalues, inertia = model.eigenvalues, model.total_inertia
-    parts = []
-    lam = eigenvalues[dims[0]]
-    caption = f"dim {dims[0] + 1} ({lam:.4g}, {100 * lam / inertia:.1f}%)"
-    parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16, caption, anchor="middle"))
-    if len(dims) == 2:
-        lam = eigenvalues[dims[1]]
-        caption = f"dim {dims[1] + 1} ({lam:.4g}, {100 * lam / inertia:.1f}%)"
-        parts.append(_text(16, MARGIN - 10, caption))
-    return parts
+    frame = _Frame(xs, ys)
+    parts = _axis_cross(frame)
+    entries = []
+    for k, label in enumerate(labels):
+        px, py = frame.x(xs[k]), frame.y(ys[k])
+        parts.append(marker(k, px, py, label))
+        entries.append((px, py, label))
+    parts += [_text(lx, ly, text, size=size) for lx, ly, text in _place_labels(entries)]
+    parts += [*legend, *_axis_captions(model, dims)]
+    return _svg_document("\n".join(parts), frame)
 
 
 def _render_symmetric_map(model, spec):
     if not isinstance(model, (CADecomposition, SparseCAModel)):
         raise InputError(f"cannot map a {type(model).__name__}")
     _check_dims(spec.dims, model.n_dims)
-    row_x, row_y = _plotted_coords(model.row_coords, spec.dims)
-    col_x, col_y = _plotted_coords(model.col_coords, spec.dims)
-    keep_rows = np.ones(len(row_x), dtype=bool)
-    keep_cols = np.ones(len(col_x), dtype=bool)
-    if spec.label_filter == "nonzero_only":
-        keep_rows = _active_mask(model, spec.dims, "row")
-        keep_cols = _active_mask(model, spec.dims, "col")
+    rows, cols = _shown(model, spec, "row"), _shown(model, spec, "col")
+    coords = np.vstack([model.row_coords[rows], model.col_coords[cols]])
+    labels = [model.table.row_labels[i] for i in rows] + [model.table.col_labels[j] for j in cols]
 
-    frame = _Frame(np.concatenate([row_x[keep_rows], col_x[keep_cols]]),
-                   np.concatenate([row_y[keep_rows], col_y[keep_cols]]))
-    parts = _axis_cross(frame)
-    labels = []
-    for i in np.flatnonzero(keep_rows):
-        px, py = frame.x(row_x[i]), frame.y(row_y[i])
-        parts.append(
-            f'<circle class="row" cx="{_px(px)}" cy="{_px(py)}" r="3"'
-            f' fill="{ROW_COLOR}" data-label="{_esc(model.table.row_labels[i])}"/>'
-        )
-        labels.append((px, py, model.table.row_labels[i]))
-    for j in np.flatnonzero(keep_cols):
-        px, py = frame.x(col_x[j]), frame.y(col_y[j])
-        parts.append(
-            f'<rect class="col" x="{_px(px - 3)}" y="{_px(py - 3)}" width="6" height="6"'
-            f' fill="{COL_COLOR}" data-label="{_esc(model.table.col_labels[j])}"/>'
-        )
-        labels.append((px, py, model.table.col_labels[j]))
-    for lx, ly, text in _place_labels(labels):
-        parts.append(_text(lx, ly, text))
-    parts.extend(_axis_captions(model, spec.dims, frame))
-    return _svg_document("\n".join(parts), frame)
+    def marker(k, px, py, label):
+        if k < len(rows):
+            return _el("circle", class_="row", cx=_px(px), cy=_px(py), r=3, fill=ROW_COLOR,
+                       data_label=label)
+        return _el("rect", class_="col", x=_px(px - 3), y=_px(py - 3), width=6, height=6,
+                   fill=COL_COLOR, data_label=label)
+
+    return _point_map(model, spec.dims, coords, labels, marker)
 
 
 def _render_scree(model, spec):
@@ -242,25 +280,12 @@ def _render_scree(model, spec):
     for k, lam in enumerate(eigenvalues, start=1):
         x = frame.x(k)
         top = frame.y(float(lam))
-        parts.append(
-            f'<rect class="bar" x="{_px(x - 8)}" y="{_px(top)}" width="16"'
-            f' height="{_px(max(base - top, 0.0))}" fill="{ROW_COLOR}"'
-            f' data-value="{_num(lam)}"/>'
-        )
-        parts.append(_text(x, base + 14, str(k), anchor="middle"))
-    parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
-                       "dimension", anchor="middle"))
+        parts.append(_el("rect", class_="bar", x=_px(x - 8), y=_px(top), width=16,
+                         height=_px(max(base - top, 0.0)), fill=ROW_COLOR,
+                         data_value=_num(lam)))
+        parts.append(_text(x, base + 14, k, anchor="middle"))
+    parts.append(_x_caption("dimension"))
     return _svg_document("\n".join(parts), frame)
-
-
-def _polyline(xs, ys, color, extra=""):
-    """Points ``(xs[i], ys[i])`` formatted as ``_px`` does, in one ``%``."""
-    xy = np.column_stack([xs, ys]).ravel().tolist()
-    joined = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(xy)
-    return (
-        f'<polyline points="{joined}" fill="none" stroke="{color}"'
-        f' stroke-width="1.2"{extra}/>'
-    )
 
 
 def _render_weight_path(path_result, spec):
@@ -270,27 +295,18 @@ def _render_weight_path(path_result, spec):
     panels = (("u", path_result.u_path), ("v", path_result.v_path))
     panel_h = (HEIGHT - 3 * MARGIN) / 2
     parts = []
-    frame = None
     for p, (side, matrix) in enumerate(panels):
         matrix = np.asarray(matrix, dtype=float)
         y0 = MARGIN + p * (panel_h + MARGIN)
         frame = _Frame(values, matrix, y0=y0, height=panel_h)
-        inner = _axis_cross(frame)
         xs, ys = frame.x(values), frame.y(matrix)
-        for j in range(matrix.shape[1]):
-            if len(values) == 1:
-                inner.append(
-                    f'<circle class="{side}-path" cx="{_px(xs[0])}" cy="{_px(ys[0, j])}" r="2"'
-                    f' fill="{PALETTE[j % len(PALETTE)]}" data-index="{j}"/>'
-                )
-            else:
-                inner.append(_polyline(xs, ys[:, j], PALETTE[j % len(PALETTE)],
-                                       f' class="{side}-path" data-index="{j}"'))
-        parts.append(f'<g id="{side}-panel"{frame.attrs()}>')
-        parts.extend(inner)
-        parts.append(_text(16, y0 - 6, f"{side} weights"))
-        parts.append("</g>")
-    parts.append(_text(WIDTH / 2, HEIGHT - 16, "budget", anchor="middle"))
+        inner = _axis_cross(frame) + [
+            _series(xs, ys[:, j], PALETTE[j % len(PALETTE)], class_=f"{side}-path", data_index=j)
+            for j in range(matrix.shape[1])
+        ]
+        inner.append(_text(16, y0 - 6, f"{side} weights"))
+        parts.append(_el("g", inner, id=f"{side}-panel", **frame.data()))
+    parts.append(_x_caption("budget"))
     return _svg_document("\n".join(parts), frame)
 
 
@@ -303,32 +319,15 @@ def _render_criterion_curve(result, spec):
         raise InputError("criterion surface holds no finite values")
     frame = _Frame(grid.axis1, grid.values[finite])
     parts = _axis_cross(frame)
-    # NaN cells split the curve into segments
-    segment = []
-    segments = []
-    for value, score in zip(grid.axis1, grid.values):
-        if np.isfinite(score):
-            segment.append((frame.x(value), frame.y(score)))
-        elif segment:
-            segments.append(segment)
-            segment = []
-    if segment:
-        segments.append(segment)
-    for seg in segments:
-        if len(seg) == 1:
-            x, y = seg[0]
-            parts.append(f'<circle cx="{_px(x)}" cy="{_px(y)}" r="2" fill="{ROW_COLOR}"/>')
-        else:
-            xs, ys = zip(*seg)
-            parts.append(_polyline(xs, ys, ROW_COLOR))
+    # NaN cells split the curve into runs of finite cells
+    for run in np.split(np.arange(len(finite)), np.flatnonzero(~finite)):
+        run = run[finite[run]]
+        if len(run):
+            parts.append(_series(frame.x(grid.axis1[run]), frame.y(grid.values[run]), ROW_COLOR))
     idx = int(np.flatnonzero(grid.axis1 == result.optimum)[0])
-    parts.append(
-        f'<circle class="optimum" cx="{_px(frame.x(result.optimum))}"'
-        f' cy="{_px(frame.y(grid.values[idx]))}" r="5" fill="none"'
-        f' stroke="{COL_COLOR}" stroke-width="2" data-value="{_num(result.optimum)}"/>'
-    )
-    parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
-                       f"budget ({result.criterion})", anchor="middle"))
+    parts.append(_optimum(frame, result.optimum, grid.values[idx],
+                          data_value=_num(result.optimum)))
+    parts.append(_x_caption(f"budget ({result.criterion})"))
     return _svg_document("\n".join(parts), frame)
 
 
@@ -356,38 +355,25 @@ def _render_contour(result, spec):
         levels = []
     else:
         levels = [lo + (hi - lo) * (k + 1) / 9.0 for k in range(8)]
+    gx, gy = frame.x(grid.axis1), frame.y(grid.axis2)
+    # each cell whose four corners are finite, corners in drawing order
+    cells = [
+        [(surface[i + di, j + dj], (gx[i + di], gy[j + dj]))
+         for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        for i in range(surface.shape[0] - 1) for j in range(surface.shape[1] - 1)
+        if finite[i : i + 2, j : j + 2].all()
+    ]
     parts = _axis_cross(frame)
     for level in levels:
-        lines = []
-        for i in range(surface.shape[0] - 1):
-            for j in range(surface.shape[1] - 1):
-                block = surface[i : i + 2, j : j + 2]
-                if not np.isfinite(block).all():
-                    continue
-                corners = [
-                    (surface[i, j], (frame.x(grid.axis1[i]), frame.y(grid.axis2[j]))),
-                    (surface[i + 1, j], (frame.x(grid.axis1[i + 1]), frame.y(grid.axis2[j]))),
-                    (surface[i + 1, j + 1], (frame.x(grid.axis1[i + 1]), frame.y(grid.axis2[j + 1]))),
-                    (surface[i, j + 1], (frame.x(grid.axis1[i]), frame.y(grid.axis2[j + 1]))),
-                ]
-                pts = _cell_crossings(level, corners)
-                # pair crossings in order; the saddle case pairs (0,1), (2,3)
-                for a, b in zip(pts[0::2], pts[1::2]):
-                    lines.append(
-                        f'<line class="level" x1="{_px(a[0])}" y1="{_px(a[1])}"'
-                        f' x2="{_px(b[0])}" y2="{_px(b[1])}" stroke="{ROW_COLOR}"'
-                        f' stroke-width="1" data-level="{_num(level)}"/>'
-                    )
-        parts.extend(lines)
+        for corners in cells:
+            pts = _cell_crossings(level, corners)
+            # pair crossings in order; the saddle case pairs (0,1), (2,3)
+            for a, b in zip(pts[0::2], pts[1::2]):
+                parts.append(_line(*a, *b, ROW_COLOR, class_="level", data_level=_num(level)))
     ou, ov = result.optimum
-    parts.append(
-        f'<circle class="optimum" cx="{_px(frame.x(ou))}" cy="{_px(frame.y(ov))}"'
-        f' r="5" fill="none" stroke="{COL_COLOR}" stroke-width="2"'
-        f' data-value-u="{_num(ou)}" data-value-v="{_num(ov)}"/>'
-    )
-    parts.append(_text(frame.x0 + frame.width / 2, HEIGHT - 16,
-                       f"row budget ({result.criterion})", anchor="middle"))
-    parts.append(_text(16, MARGIN - 10, "column budget"))
+    parts.append(_optimum(frame, ou, ov, data_value_u=_num(ou), data_value_v=_num(ov)))
+    parts.append(_x_caption(f"row budget ({result.criterion})"))
+    parts.append(_y_caption("column budget"))
     return _svg_document("\n".join(parts), frame)
 
 
@@ -410,38 +396,25 @@ def _render_dendrogram(dendrogram, spec):
     merges = dendrogram.merges
     n = dendrogram.n_leaves
     order = _leaf_order(merges, n)
-    slot = {leaf: i for i, leaf in enumerate(order)}
     top = max((m[2] for m in merges), default=1.0) or 1.0
     frame = _Frame([-0.5, n - 0.5], [0.0, top])
-    xs = {leaf: float(slot[leaf]) for leaf in range(n)}
-    heights = {leaf: 0.0 for leaf in range(n)}
+    # each node's slot on the leaf axis and its height
+    nodes = {leaf: (float(i), 0.0) for i, leaf in enumerate(order)}
     parts = []
     for t, (a, b, h) in enumerate(merges):
-        xa, xb = xs[a], xs[b]
-        ya, yb = heights[a], heights[b]
-        px_a, px_b = frame.x(xa), frame.x(xb)
-        py = frame.y(h)
-        parts.append(
-            f'<line x1="{_px(px_a)}" y1="{_px(frame.y(ya))}" x2="{_px(px_a)}"'
-            f' y2="{_px(py)}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line x1="{_px(px_b)}" y1="{_px(frame.y(yb))}" x2="{_px(px_b)}"'
-            f' y2="{_px(py)}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line class="merge" x1="{_px(px_a)}" y1="{_px(py)}" x2="{_px(px_b)}"'
-            f' y2="{_px(py)}" stroke="#333333" stroke-width="1" data-height="{_num(h)}"/>'
-        )
-        xs[n + t] = (xa + xb) / 2.0
-        heights[n + t] = h
+        (xa, ya), (xb, yb) = nodes[a], nodes[b]
+        px_a, px_b, py = frame.x(xa), frame.x(xb), frame.y(h)
+        parts += [
+            _line(px_a, frame.y(ya), px_a, py, "#333333"),
+            _line(px_b, frame.y(yb), px_b, py, "#333333"),
+            _line(px_a, py, px_b, py, "#333333", class_="merge", data_height=_num(h)),
+        ]
+        nodes[n + t] = ((xa + xb) / 2.0, h)
     base = frame.y(0.0)
     for leaf in range(n):
-        x = frame.x(xs[leaf])
-        parts.append(_text(
-            x + 3, base + 10, dendrogram.labels[leaf], size=9,
-            extra=f' transform="rotate(90 {_px(x + 3)} {_px(base + 10)})"',
-        ))
+        x, y = frame.x(nodes[leaf][0]) + 3, base + 10
+        parts.append(_text(x, y, dendrogram.labels[leaf], size=9,
+                           transform=f"rotate(90 {_px(x)} {_px(y)})"))
     return _svg_document("\n".join(parts), frame)
 
 
@@ -452,35 +425,26 @@ def _render_cluster_map(artifact, spec):
     except (TypeError, IndexError):
         raise InputError("cluster_map expects (model, assignment[, typicality])")
     _check_dims(spec.dims, model.n_dims)
-    row_x, row_y = _plotted_coords(model.row_coords, spec.dims)
-    if len(assignment) != len(row_x):
-        raise InputError(f"{len(assignment)} assignments for {len(row_x)} rows")
-    frame = _Frame(row_x, row_y)
-    parts = _axis_cross(frame)
-    labels = []
-    for i in range(len(row_x)):
-        px, py = frame.x(row_x[i]), frame.y(row_y[i])
-        color = PALETTE[assignment[i] % len(PALETTE)]
-        parts.append(
-            f'<circle class="row" cx="{_px(px)}" cy="{_px(py)}" r="3" fill="{color}"'
-            f' data-label="{_esc(model.table.row_labels[i])}" data-cluster="{assignment[i]}"/>'
-        )
-        labels.append((px, py, model.table.row_labels[i]))
-    for lx, ly, text in _place_labels(labels):
-        parts.append(_text(lx, ly, text, size=9))
+    n_rows = len(model.row_coords)
+    if len(assignment) != n_rows:
+        raise InputError(f"{len(assignment)} assignments for {n_rows} rows")
     n_clusters = int(assignment.max()) + 1 if len(assignment) else 0
+    ranked = typicality.ranked if typicality is not None else []
+    legend = []
     for cluster in range(n_clusters):
-        color = PALETTE[cluster % len(PALETTE)]
-        caption = f"cluster {cluster}"
-        if typicality is not None and cluster < len(typicality.ranked):
-            words = ", ".join(word for word, _z in typicality.ranked[cluster])
-            if words:
-                caption += f": {words}"
-        parts.append(_text(16, HEIGHT - 16 - 12 * (n_clusters - 1 - cluster),
-                           caption, size=9, color=color,
-                           extra=f' class="legend" data-cluster="{cluster}"'))
-    parts.extend(_axis_captions(model, spec.dims, frame))
-    return _svg_document("\n".join(parts), frame)
+        words = ", ".join(word for word, _z in ranked[cluster]) if cluster < len(ranked) else ""
+        legend.append(_text(16, HEIGHT - 16 - 12 * (n_clusters - 1 - cluster),
+                            f"cluster {cluster}: {words}" if words else f"cluster {cluster}",
+                            size=9, color=PALETTE[cluster % len(PALETTE)],
+                            class_="legend", data_cluster=cluster))
+
+    def marker(k, px, py, label):
+        return _el("circle", class_="row", cx=_px(px), cy=_px(py), r=3,
+                   fill=PALETTE[assignment[k] % len(PALETTE)], data_label=label,
+                   data_cluster=assignment[k])
+
+    return _point_map(model, spec.dims, model.row_coords, model.table.row_labels, marker,
+                      size=9, legend=legend)
 
 
 _RENDERERS = {

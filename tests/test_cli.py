@@ -1,14 +1,22 @@
 """End-to-end command-line tests: exit codes, emitted files, reports."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparseca
+from sparseca.ca import _residual_matrices
 from sparseca.cli import main
 from sparseca.datasets import colors_of_music
-from sparseca.io import write_contingency_csv
+from sparseca.io import format_sig, write_contingency_csv
+from sparseca.sparse import SparsityConstraint, column_sparse_coordinates, fit_sparse_ca
+from sparseca.tuning import default_coupled_grid, grid_search_1d
 
 from conftest import BIC_WITHOUT_RESIDUAL, random_table
 
@@ -48,6 +56,18 @@ TABLE_COMMANDS = [
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.reader(handle))
+
+
+def read_column(path, name):
+    header, *rows = read_rows(path)
+    return [row[header.index(name)] for row in rows]
+
+
+@pytest.fixture
+def music_csv(tmp_path):
+    path = tmp_path / "music.csv"
+    write_contingency_csv(colors_of_music(), path)
+    return path
 
 
 class TestCaCommand:
@@ -98,6 +118,23 @@ class TestCaCommand:
 
 
 class TestScaCommand:
+    def test_col_scale_reaches_the_fit(self, music_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "sca", str(music_csv), "--variant", "column", "--sumabsv", "1.5", "--dims", "1",
+            "--col-scale", "barycentric", "--out-dir", str(out),
+        ])
+        assert code == 0
+        table = colors_of_music()
+        p, r, c, _z = _residual_matrices(table)
+        fit = fit_sparse_ca(table, [SparsityConstraint.unpenalized_rows(1.5)],
+                            variant="column_sparse")
+        want = {spread: column_sparse_coordinates(p, r, c, fit.row_coords[:, 0], spread=spread)
+                for spread in ("barycentric", "rescaled")}
+        got = np.array(read_column(out / "cols.csv", "coord_1"), dtype=float)
+        np.testing.assert_allclose(got, want["barycentric"], rtol=1e-5, atol=1e-12)
+        assert not np.allclose(want["barycentric"], want["rescaled"], rtol=1e-3)
+
     def test_coupled_budget_reports_nonzeros(self, table_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
@@ -238,6 +275,21 @@ class TestScaCommand:
 
 
 class TestTuneCommand:
+    def test_orientation_reaches_the_search(self, music_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "tune", str(music_csv), "--step", "0.1", "--orientation", "printed",
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        z = _residual_matrices(colors_of_music())[3]
+        grid = default_coupled_grid(z.shape, step=0.1)
+        want = {orientation: [format_sig(v) for v in grid_search_1d(
+                    z, grid=grid, orientation=orientation).grid.values]
+                for orientation in ("printed", "tradeoff")}
+        assert read_column(out / "tuning_grid.csv", "criterion") == want["printed"]
+        assert want["printed"] != want["tradeoff"]
+
     def test_grid_1d_default(self, small_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
@@ -544,6 +596,16 @@ class TestDtmCommand:
         assert "plum" not in rows[0]
         assert "documents" in capsys.readouterr().out
 
+    def test_max_vocab_caps_the_columns(self, tmp_path):
+        tokens = tmp_path / "tokens.csv"
+        tokens.write_text(
+            "doc_id,token,count\nd1,apple,4\nd1,the,9\nd2,pear,3\nd3,pear,5\nd3,plum,2\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "dtm.csv"
+        assert main(["dtm", str(tokens), "--max-vocab", "2", "--out", str(out)]) == 0
+        assert read_rows(out)[0] == ["id", "the", "pear"]
+
     def test_empty_result_is_validation_error(self, tmp_path):
         tokens = tmp_path / "tokens.csv"
         tokens.write_text("doc_id,token,count\nd1,rare,1\n", encoding="utf-8")
@@ -560,3 +622,43 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert main([]) == 2
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """Exit code and stderr of the command line run in a fresh interpreter
+    whose stdout reader is gone before the command has imported."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sparseca.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sparseca.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_fails_once_with_exit_1(music_csv, tmp_path, unbuffered):
+    out = tmp_path / "out"
+    code, err = run_with_closed_stdout(["ca", str(music_csv), "--out-dir", str(out)], unbuffered)
+    assert code == 1, err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "Exception ignored" not in err
+    assert sorted(path.name for path in out.iterdir()) == [
+        "cols.csv", "eigenvalues.csv", "map.svg", "rows.csv", "scree.svg",
+    ]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_after_help_keeps_the_exit_codes(unbuffered):
+    # argparse ignores a failed write of its help, which unbuffered leaves
+    # nothing to report (exit 0); buffered, main's flush finds it (exit 1)
+    code, err = run_with_closed_stdout(["tune", "--help"], unbuffered)
+    assert code == (0 if unbuffered else 1), err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == code, err
+    assert "Exception ignored" not in err

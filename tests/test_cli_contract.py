@@ -31,11 +31,16 @@ COMMANDS = [
     ["sca", "--sumabs", "0.6"],
     ["sca", "--nnz", "2", "--dims", "1"],
     ["sca", "--variant", "column", "--sumabsv", "1.5", "--dims", "1"],
+    ["sca", "--variant", "column", "--sumabsv", "1.5", "--dims", "1",
+     "--col-scale", "barycentric", "--nonzero-only"],
     ["tune", "--step", "0.1"],
     ["tune", "--criterion", "bic", "--step", "0.1"],
     ["tune", "--criterion", "cv", "--step", "0.5", "--seed", "0"],
     ["tune", "--grid-2d", "--points", "3"],
+    ["tune", "--step", "0.1", "--after", "0.9"],
+    ["tune", "--step", "0.1", "--orientation", "printed"],
     ["paths"],
+    ["paths", "--after", "0.9"],
     ["cluster", "--k", "2", "--dims", "1"],
     ["cluster", "--k", "3"],
     ["cluster", "--k", "2", "--sumabs", "0.9"],

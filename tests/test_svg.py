@@ -269,6 +269,30 @@ class TestClusterMap:
             render_svg((model, [0, 1]), PlotSpec("cluster_map"))
 
 
+class TestEscaping:
+    ROWS = ["a&b", "<r>", 'say "hi"', "it's", "x > y & z < w", "&amp;", "plain", "'\"<&>"]
+    COLS = [f"{label}." for label in ROWS[:6]]
+
+    def test_labels_round_trip(self):
+        rng = np.random.default_rng(31)
+        table = ContingencyTable.from_counts(
+            random_table(rng, 8, 6, total=900), row_labels=self.ROWS, col_labels=self.COLS,
+        )
+        model = fit_ca(table)
+        d = ward_cluster(model.row_coords[:, :2], labels=self.ROWS)
+        for artifact, kind, labels, marked in (
+            (model, "symmetric_map", self.ROWS + self.COLS, True),
+            ((model, cut_tree(d, 3)), "cluster_map", self.ROWS, True),
+            (d, "dendrogram", self.ROWS, False),
+        ):
+            root = parse(render_svg(artifact, PlotSpec(kind)))
+            texts = [el.text for el in tagged(root, "text")]
+            assert all(texts.count(label) == 1 for label in labels), kind
+            if marked:
+                data = [el.attrib["data-label"] for el in root.iter() if "data-label" in el.attrib]
+                assert sorted(data) == sorted(labels), kind
+
+
 class TestRenderSvgDispatch:
     def test_unknown_kind(self, model):
         with pytest.raises(InputError):
