@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ca import _residual_matrices, fit_ca, total_inertia
+from .ca import _dims_limit, _residual_matrices, fit_ca, total_inertia
 from .cluster import (
     WARD_VARIANTS,
     aggregate_by_cluster,
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sca", help="sparse correspondence analysis")
     _add_table_arg(p)
     p.add_argument("--variant", choices=("doubly", "column"), default="doubly")
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--dims", type=int, default=None,
+                   help="fitted dimensions (default: 2, or 1 if the table has one)")
     p.add_argument("--sumabs", type=float, action="append",
                    help="coupled scale-free budget in (0, 1]; repeat per dimension")
     p.add_argument("--sumabsu", type=float, action="append",
@@ -109,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-words", type=int, default=3, help="typical categories per cluster")
     p.add_argument("--sumabs", type=float, action="append",
                    help="cluster sparse coordinates at this coupled budget instead of plain CA")
-    p.add_argument("--dims", type=int, default=2, help="fitted dimensions (first two are clustered)")
+    p.add_argument("--dims", type=int, default=None,
+                   help="fitted dimensions, first two clustered"
+                        " (default: 2, or 1 if the table has one)")
     p.add_argument("--ward-variant", choices=WARD_VARIANTS, default="D2")
     p.set_defaults(func=_cmd_cluster)
 
@@ -147,6 +150,11 @@ def _map_dims(model):
     return (0, 1) if model.n_dims >= 2 else (0,)
 
 
+def _fitted_dims(args, shape):
+    """``--dims``, or two dimensions by default, or one on a table that has one."""
+    return min(2, _dims_limit(shape, None)) if args.dims is None else args.dims
+
+
 def _per_dim(values, n_dims, flag):
     if len(values) == 1:
         return list(values) * n_dims
@@ -158,6 +166,7 @@ def _per_dim(values, n_dims, flag):
 def _sca_constraints(args, shape):
     variant = "doubly_sparse" if args.variant == "doubly" else "column_sparse"
     n_rows, n_cols = shape
+    n_dims = _fitted_dims(args, shape)
     chosen = [
         name for name, given in (
             ("--sumabs", args.sumabs),
@@ -170,7 +179,7 @@ def _sca_constraints(args, shape):
             "pick exactly one of --sumabs, --sumabsu/--sumabsv, or --nnz"
         )
     if args.sumabs:
-        values = _per_dim(args.sumabs, args.dims, "--sumabs")
+        values = _per_dim(args.sumabs, n_dims, "--sumabs")
         if variant == "column_sparse":
             if not all(0.0 < s <= 1.0 for s in args.sumabs):
                 raise InputError(f"--sumabs values must lie in (0, 1], got {args.sumabs}")
@@ -183,7 +192,7 @@ def _sca_constraints(args, shape):
         else:
             constraints = [SparsityConstraint.coupled(s) for s in values]
     elif args.nnz:
-        values = _per_dim(args.nnz, args.dims, "--nnz")
+        values = _per_dim(args.nnz, n_dims, "--nnz")
         constraints = [
             SparsityConstraint.nonzero_target(n, axis="cols") for n in values
         ]
@@ -191,13 +200,13 @@ def _sca_constraints(args, shape):
         if variant == "column_sparse":
             if args.sumabsu:
                 raise InputError("--sumabsu does not apply to the column variant")
-            values = _per_dim(args.sumabsv, args.dims, "--sumabsv")
+            values = _per_dim(args.sumabsv, n_dims, "--sumabsv")
             constraints = [SparsityConstraint.unpenalized_rows(v) for v in values]
         else:
             if not (args.sumabsu and args.sumabsv):
                 raise InputError("--sumabsu and --sumabsv must be given together")
-            us = _per_dim(args.sumabsu, args.dims, "--sumabsu")
-            vs = _per_dim(args.sumabsv, args.dims, "--sumabsv")
+            us = _per_dim(args.sumabsu, n_dims, "--sumabsu")
+            vs = _per_dim(args.sumabsv, n_dims, "--sumabsv")
             constraints = [
                 SparsityConstraint.absolute(u, v) for u, v in zip(us, vs)
             ]
@@ -206,7 +215,7 @@ def _sca_constraints(args, shape):
 
 def _prior_factors(table, after):
     after = after or []
-    max_dims = min(table.shape) - 1  # the tuned dimension comes after the fixed ones
+    max_dims = _dims_limit(table.shape, None)  # the tuned dimension comes after the fixed ones
     if len(after) + 1 > max_dims:
         raise InputError(
             f"--after fixes {len(after)} dimensions, so the tuned one would be "
@@ -298,14 +307,15 @@ def _cmd_paths(args):
 
 def _cmd_cluster(args):
     table = _read_table(args)
+    n_dims = _fitted_dims(args, table.shape)
     if args.sumabs:
         constraints = [
             SparsityConstraint.coupled(s)
-            for s in _per_dim(args.sumabs, args.dims, "--sumabs")
+            for s in _per_dim(args.sumabs, n_dims, "--sumabs")
         ]
         model = fit_sparse_ca(table, constraints)
     else:
-        model = fit_ca(table, n_dims=args.dims)
+        model = fit_ca(table, n_dims=n_dims)
     map_dims = _map_dims(model)
     coords = model.row_coords[:, : len(map_dims)]
     dendrogram = ward_cluster(coords, labels=table.row_labels, variant=args.ward_variant)

@@ -29,6 +29,8 @@ COL_SCALES = ("barycentric", "rescaled")
 # of consecutive budgets it fits as one stack
 NNZ_GRID_STEP = 0.2
 NNZ_CHUNK = 8
+# a rank-1 fit stops at its first column-weight change below STOP_TOL
+STOP_TOL = 1e-7
 # the rank-1 loop takes ANDERSON_WARMUP plain steps, then extrapolates each
 # member's column weights from its last ANDERSON_MEMORY steps; the least
 # squares behind an extrapolation carry a ridge of ANDERSON_RIDGE times
@@ -161,14 +163,13 @@ def pmd_rank1(
     z: np.ndarray,
     constraint: SparsityConstraint,
     max_iter: int = 200,
-    tol: float = 1e-7,
 ) -> SparseFactor:
     """Penalized rank-1 fit of ``z`` by alternating L1 projections.
 
     Starts from the feasible projection of the leading right singular
     vector of ``z``, taken from its Gram matrix (``linalg._leading_svd``),
     and alternates ``u <- project(z v)``, ``v <- project(z' u)`` until the
-    column weights move less than ``tol`` in the max norm. After
+    column weights move less than ``STOP_TOL`` (1e-7) in the max norm. After
     ``ANDERSON_WARMUP`` (5) such iterations, an iteration steps from an
     Anderson extrapolation of the last ``ANDERSON_MEMORY`` (3) steps
     instead of from ``v``, and keeps that step only when it does not
@@ -184,8 +185,8 @@ def pmd_rank1(
         Matrix to decompose; must be nonzero.
     constraint : SparsityConstraint
         Budget specification. ``nonzero_target`` must be resolved first.
-    max_iter, tol : int, float
-        Iteration cap and convergence threshold on the column weights.
+    max_iter : int
+        Iteration cap.
 
     Returns
     -------
@@ -196,7 +197,7 @@ def pmd_rank1(
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {z.shape}")
-    fit = _rank1_fits(z, [constraint], max_iter=max_iter, tol=tol)
+    fit = _rank1_fits(z, [constraint], max_iter=max_iter)
     _warn_unconverged(fit, stacklevel=2)
     return fit.factor(0, constraint)
 
@@ -228,7 +229,7 @@ class _StackFit(NamedTuple):
         )
 
 
-def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit:
+def _rank1_fits(z, constraints, start=None, max_iter=200) -> _StackFit:
     """The alternating loop of ``pmd_rank1``, for a stack of fits with one
     member per constraint.
 
@@ -248,14 +249,15 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     keeps that step only when its ``u'Zv`` is at least the current pair's;
     otherwise the member takes the plain step from ``v`` in the same
     iteration and clears its history. So ``u'Zv`` never falls, and
-    ``_check_ascent`` checks every plain half-step. A member stops at its
-    first column-weight change below ``tol``, or at ``max_iter``; the
-    change of a step from an extrapolated point is the larger of its
-    moves from ``v`` and from ``x``.
+    ``_check_ascent`` checks each half-step once, over every member whose
+    step was plain. A member stops at its first column-weight change below
+    ``STOP_TOL``, or at ``max_iter``; the change of a step is the larger of
+    its moves from ``v`` and from ``x``.
 
     Members are independent: each one ends with the weights, iteration
-    count and checks its own fit would give, to the last bit; members that
-    stop are dropped from the budgets, iterates and histories only.
+    count and checks its own fit would give, to the last bit. A member's
+    state (budgets, iterate, objective, history) is allocated before the
+    first step and dropped in one statement once the member stops.
 
     Cross-validation fits the folds and grid cells of a sweep as a stack
     of matrices; ``weight_paths``, the grid searches and
@@ -283,8 +285,8 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     # the singular vector itself
     starts = np.broadcast_to(start, (budget_v.size, z.shape[-1]))
     v = _l1_project_rows(starts, budget_v)
-    # members still iterating; a stack is compacted when some stop, and
-    # each member that stops is written to its own row of the results
+    # members still iterating; each member that stops is written to its own
+    # row of the results
     live = np.arange(budget_v.size)
     u_out = np.empty((live.size, z.shape[-2]))
     v_out = np.empty_like(v)
@@ -292,6 +294,17 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
     n_iter = np.empty(live.size, dtype=int)
     zs, zts, bu, bv = z, np.swapaxes(z, -1, -2), budget_u, budget_v
     objective = np.full(live.size, -np.inf)
+    # each member's Anderson history: how the residual f = v_new - x and the
+    # image v_new changed between successive steps, in a ring of
+    # ANDERSON_MEMORY slots that all members write at every step, with the
+    # Gram matrix of the residual changes; a member's n_diff newest slots
+    # are valid. Single precision halves its memory; the steps themselves,
+    # which the safeguard and the stop rule judge, stay double.
+    d_f = np.zeros((live.size, ANDERSON_MEMORY, v.shape[-1]), dtype=np.float32)
+    d_g = np.zeros_like(d_f)
+    gram = np.zeros((live.size, ANDERSON_MEMORY, ANDERSON_MEMORY))
+    f_last = np.zeros_like(v, dtype=np.float32)
+    n_diff = np.zeros(live.size, dtype=int)
 
     def full_step(zs, zts, x, bu, bv):
         """One iteration from column weights ``x``, per member: ``u =
@@ -302,60 +315,42 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
         v = _l1_project_rows(zu, bv)
         return u, (u * zx).sum(axis=-1), v, (zu * v).sum(axis=-1)
 
-    # each member's Anderson history: how the residual f = v_new - x and the
-    # image v_new changed between successive steps, in a ring of
-    # ANDERSON_MEMORY slots that all members write at the same step, with
-    # the Gram matrix of the residual changes; a member's n_diff newest
-    # slots are valid. It starts at the step whose change the first
-    # extrapolation can use. Single precision halves its memory; the steps
-    # themselves, which the safeguard and the stop rule judge, stay double.
-    d_f = d_g = gram = f_last = None
-    n_diff = np.zeros(live.size, dtype=int)
     for step in range(1, max_iter + 1):
         x, tried = v, np.zeros(live.size, dtype=bool)
         if step > ANDERSON_WARMUP and np.count_nonzero(n_diff):
             newest = (step - 1) % ANDERSON_MEMORY
             x, tried = _anderson_point(v, f_last, d_f, d_g, gram, n_diff, newest)
         u, after_u, v_new, after_v = full_step(zs, zts, x, bu, bv)
+        # the safeguard: a member whose extrapolated step lowered u'Zv takes
+        # the plain step from v instead
+        refused = tried & (after_v < objective)
+        if np.count_nonzero(refused):
+            rows = np.flatnonzero(refused)
+            z_rows = (zs[rows], zts[rows]) if zs.ndim == 3 else (zs, zts)
+            x[rows] = v[rows]
+            u[rows], after_u[rows], v_new[rows], after_v[rows] = full_step(
+                *z_rows, v[rows], bu[rows], bv[rows]
+            )
         # each plain half-step maximizes the bilinear form over a set that
         # contains the previous iterate; a step from an extrapolated point
-        # need not, and the safeguard decides on it
-        _check_ascent("row", np.where(tried, -np.inf, objective), after_u)
-        _check_ascent("column", np.where(tried, -np.inf, after_u), after_v)
-        refused = tried
-        if np.count_nonzero(tried):
-            refused = tried & (after_v < objective)
-            if np.count_nonzero(refused):
-                rows = np.flatnonzero(refused)
-                z_rows = (zs[rows], zts[rows]) if zs.ndim == 3 else (zs, zts)
-                plain = full_step(*z_rows, v[rows], bu[rows], bv[rows])
-                _check_ascent("row", objective[rows], plain[1])
-                _check_ascent("column", plain[1], plain[3])
-                x[rows] = v[rows]
-                u[rows], after_u[rows], v_new[rows], after_v[rows] = plain
+        # need not, and the safeguard has judged it
+        plain = ~tried | refused
+        _check_ascent("row", np.where(plain, objective, -np.inf), after_u)
+        _check_ascent("column", np.where(plain, after_u, -np.inf), after_v)
         residual = v_new - x
-        change = np.abs(v_new - v).max(axis=-1)
-        if np.count_nonzero(tried):
-            # a step from an extrapolated point also has to be short from
-            # that point, or a far point that happens to map near the last
-            # iterate would pass for convergence
-            change = np.maximum(change, np.abs(residual).max(axis=-1))
-        if step >= ANDERSON_WARMUP - ANDERSON_MEMORY:
-            if f_last is None:
-                d_f = np.zeros((live.size, ANDERSON_MEMORY, v.shape[-1]), dtype=np.float32)
-                d_g = np.zeros_like(d_f)
-                gram = np.zeros((live.size, ANDERSON_MEMORY, ANDERSON_MEMORY))
-            else:
-                slot = step % ANDERSON_MEMORY
-                d_f[:, slot], d_g[:, slot] = residual - f_last, v_new - v
-                column = np.matmul(d_f, d_f[:, slot, :, None])[..., 0]
-                gram[:, slot, :], gram[:, :, slot] = column, column
-                n_diff = np.minimum(n_diff + 1, ANDERSON_MEMORY)
-                # a refused member starts its history afresh
-                n_diff[refused] = 0
-            f_last = residual.astype(np.float32)
+        # a step from an extrapolated point also has to be short from that
+        # point, or a far point that happens to map near the last iterate
+        # would pass for convergence; for a plain step both moves are one
+        change = np.maximum(np.abs(v_new - v).max(axis=-1), np.abs(residual).max(axis=-1))
+        slot = step % ANDERSON_MEMORY
+        d_f[:, slot], d_g[:, slot] = residual - f_last, v_new - v
+        column = np.matmul(d_f, d_f[:, slot, :, None])[..., 0]
+        gram[:, slot, :], gram[:, :, slot] = column, column
+        # a refused member starts its history afresh
+        n_diff = np.where(refused, 0, np.minimum(n_diff + 1, ANDERSON_MEMORY))
+        f_last = residual.astype(np.float32)
         v, objective = v_new, after_v
-        done = (change < tol) | (step == max_iter)
+        done = (change < STOP_TOL) | (step == max_iter)
         n_done = np.count_nonzero(done)
         if n_done:
             members = live[done]
@@ -364,14 +359,11 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
             if n_done == done.size:
                 break
             keep = ~done
-            live, bu, bv, v, objective = (
-                live[keep], bu[keep], bv[keep], v[keep], objective[keep]
+            live, bu, bv, v, objective, n_diff, d_f, d_g, gram, f_last = (
+                a[keep] for a in (live, bu, bv, v, objective, n_diff, d_f, d_g, gram, f_last)
             )
-            n_diff = n_diff[keep]
-            if f_last is not None:
-                d_f, d_g, gram, f_last = d_f[keep], d_g[keep], gram[keep], f_last[keep]
-            if zs.ndim == 3:
-                zs, zts = zs[keep], zts[keep]
+            # a matrix stack gives each member its own matrix; a shared one stays whole
+            zs, zts = (zs[keep], zts[keep]) if zs.ndim == 3 else (zs, zts)
 
     sign = _column_signs(v_out.T).T
     u, v, change = u_out * sign, v_out * sign, change_out
@@ -380,7 +372,7 @@ def _rank1_fits(z, constraints, start=None, max_iter=200, tol=1e-7) -> _StackFit
         raise SparseCAError(
             f"rank-1 fit ended with negative u'Zv = {alpha[alpha < 0.0][0]:.9g}"
         )
-    return _StackFit(u, v, alpha, change < tol, n_iter, change)
+    return _StackFit(u, v, alpha, change < STOP_TOL, n_iter, change)
 
 
 def _anderson_point(v, f_last, d_f, d_g, gram, n_diff, newest) -> tuple:
@@ -492,23 +484,14 @@ def coordinates_from_weights(
     if abs(np.linalg.norm(u) - 1.0) > 1e-8 or abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise InputError("weights must be unit vectors")
     scale = np.sqrt(eigenvalue)
-
-    zv = z @ v
-    norm_zv = np.linalg.norm(zv)
-    if norm_zv < 1e-300:
-        raise DegenerateInputError("column weights lie in the null space")
-    a = zv / np.sqrt(r) * (scale / norm_zv)
-    if a @ (u / np.sqrt(r)) < 0:
-        a = -a
-
-    zu = z.T @ u
-    norm_zu = np.linalg.norm(zu)
-    if norm_zu < 1e-300:
-        raise DegenerateInputError("row weights lie in the null space")
-    b = zu / np.sqrt(c) * (scale / norm_zu)
-    if b @ (v / np.sqrt(c)) < 0:
-        b = -b
-    return a, b
+    coords = []
+    for image, mass, weights, side in ((z @ v, r, u, "column"), (z.T @ u, c, v, "row")):
+        norm = np.linalg.norm(image)
+        if norm < 1e-300:
+            raise DegenerateInputError(f"{side} weights lie in the null space")
+        coord = image / np.sqrt(mass) * (scale / norm)
+        coords.append(-coord if coord @ (weights / np.sqrt(mass)) < 0 else coord)
+    return tuple(coords)
 
 
 def column_sparse_coordinates(

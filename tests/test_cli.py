@@ -446,6 +446,30 @@ def test_one_message_per_dims_mistake(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, map_name",
+    [
+        (["sca", "--sumabs", "0.9"], "map.svg"),
+        (["cluster", "--k", "2"], "cluster_map.svg"),
+        (["cluster", "--k", "2", "--sumabs", "0.9"], "cluster_map.svg"),
+    ],
+    ids=["sca", "cluster", "cluster-sparse"],
+)
+def test_default_dims_fit_the_only_dimension_of_a_2x2_table(tmp_path, capsys, argv, map_name):
+    # without --dims, sca and cluster fit two dimensions, or one on a
+    # table that has only one
+    path = tmp_path / "two.csv"
+    path.write_text(",a,b\nx,5,1\ny,2,7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    drawn = (out / map_name).read_text(encoding="utf-8")
+    assert "dim 1 (" in drawn and "dim 2" not in drawn
+    if argv[0] == "sca":
+        header = read_rows(out / "rows.csv")[0]
+        assert "coord_1" in header and not [name for name in header if name.endswith("_2")]
+
+
+@pytest.mark.parametrize(
     "argv",
     [["sca", "--dims", "1", "--sumabs", "0.8"], ["paths"]],
     ids=lambda argv: argv[0],

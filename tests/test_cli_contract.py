@@ -29,6 +29,7 @@ COMMANDS = [
     ["ca"],
     ["sca", "--sumabs", "0.9", "--dims", "1"],
     ["sca", "--sumabs", "0.6"],
+    ["sca", "--sumabs", "0.9"],
     ["sca", "--nnz", "2", "--dims", "1"],
     ["sca", "--variant", "column", "--sumabsv", "1.5", "--dims", "1"],
     ["sca", "--variant", "column", "--sumabsv", "1.5", "--dims", "1",
@@ -42,6 +43,7 @@ COMMANDS = [
     ["paths"],
     ["paths", "--after", "0.9"],
     ["cluster", "--k", "2", "--dims", "1"],
+    ["cluster", "--k", "2"],
     ["cluster", "--k", "3"],
     ["cluster", "--k", "2", "--sumabs", "0.9"],
     ["cluster", "--k", "2", "--ward-variant", "D"],

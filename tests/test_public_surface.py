@@ -112,7 +112,7 @@ SIGNATURES = {
         "explained_variance": ["z", "weight_columns"],
         "fit_sparse_ca": ["table", "constraints", "variant", "col_scale"],
         "nnz_target_search": ["z", "target", "axis"],
-        "pmd_rank1": ["z", "constraint", "max_iter", "tol"],
+        "pmd_rank1": ["z", "constraint", "max_iter"],
         "ppmd_deflate": ["z", "factor"],
     },
     "sparseca.tuning": {

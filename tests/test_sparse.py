@@ -416,6 +416,20 @@ class TestCoordinatesFromWeights:
                 0.0,
             )
 
+    @pytest.mark.parametrize(
+        "side, u, v",
+        [
+            ("column", [1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5), 0.0]),
+            ("row", [0.0, 1.0], [1.0, 0.0, 0.0]),
+        ],
+    )
+    def test_rejects_weights_in_the_null_space(self, side, u, v):
+        # z maps the first column weights, and the second row weights, to zero
+        z = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        r, c = np.full(2, 0.5), np.full(3, 1 / 3)
+        with pytest.raises(DegenerateInputError, match=f"{side} weights lie in the null space"):
+            coordinates_from_weights(z, r, c, np.array(u), np.array(v), 0.5)
+
 
 class TestColumnSparseCoordinates:
     def test_barycentric_is_transition_image(self, rng):
