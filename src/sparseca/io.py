@@ -1,15 +1,19 @@
 """CSV ingestion and serialization.
 
 Contingency tables travel as UTF-8 CSV with a label header row and a
-label column; write→read→write is byte-stable. Result tables use six
-significant digits, except structural zeros which are written as a
+label column; write→read→write is byte-stable. Both inputs, a table and
+a token-counts file, are read by ``_records`` and their numbers parsed
+by ``_parse_records``: a byte-order mark is accepted, and blank lines
+are skipped but counted in the line an error names. Result tables use
+six significant digits, except structural zeros which are written as a
 literal "0" so sparsity survives grep.
 """
 
 import csv
 import io
 import os
-from itertools import accumulate, islice
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,21 @@ from .ca import CADecomposition, ContingencyTable, contributions
 from .errors import InputError, ParseError
 from .sparse import SparseCAModel
 from .tuning import TuningResult
+
+
+def _records(path, empty: str):
+    """The nonblank records of a UTF-8 CSV file (a byte-order mark
+    allowed) and their 1-based record numbers, blank records counted;
+    ``ParseError(empty)`` when there are none."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        records = list(csv.reader(handle))
+    lines = range(1, len(records) + 1)
+    if not all(records):
+        lines = [line for line, record in zip(lines, records) if record]
+        records = list(filter(None, records))
+    if not records:
+        raise ParseError(empty, line=1, column=1)
+    return records, lines
 
 
 def _parse_cell(cell: str, line: int, column: int) -> float:
@@ -32,79 +51,67 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
     return value
 
 
-def _parsed(cells, count: int):
-    """``count`` cells as a float array, or None if one of them fails
-    ``_parse_cell``; Python's ``float`` reads each cell, so the accepted
-    spellings are the same, and one array test checks them all."""
+def _parse_records(records, lines, width: int, start: int, stop: int):
+    """Cells ``start:`` of the records before ``stop``, one float array
+    row each, or ``ParseError`` for the earliest record there that holds
+    a bad cell or not ``width`` cells; a wrong width at ``stop`` comes
+    before the caller's own fault there. Python's ``float`` reads every
+    cell in one pass and one array test checks them all; only if it
+    fails does ``_parse_cell`` read them in order, to name the bad one.
+    """
+    ragged = next((k for k, record in enumerate(records) if len(record) != width), len(records))
+    end = min(ragged, stop)
+    block = records[:end]
+    cells = chain.from_iterable(map(itemgetter(slice(start, None)), block))
     try:
-        values = np.fromiter(map(float, cells), dtype=float, count=count)
+        values = np.fromiter(map(float, cells), dtype=float, count=end * (width - start))
     except ValueError:
-        return None
-    if ((values >= 0) & (values < np.inf)).all():
-        return values
-    return None
+        values = None
+    if values is None or not ((values >= 0) & (values < np.inf)).all():
+        for line, record in zip(lines, block):
+            for column, cell in enumerate(record[start:], start=start + 1):
+                _parse_cell(cell, line, column)
+    if ragged == end < len(records):
+        record = records[ragged]
+        raise ParseError(f"expected {width} cells, got {len(record)}",
+                         line=lines[ragged], column=min(len(record), width) + 1)
+    return values.reshape(end, width - start)
 
 
 def read_contingency_csv(path, drop_empty: bool = False) -> ContingencyTable:
     """Load a labeled contingency table.
 
     The header row starts with an empty cell or ``id`` followed by the
-    column labels; every other row starts with its row label. Ragged
-    rows, non-numeric or negative cells, and duplicate labels raise
-    ``ParseError`` with the offending line and column (1-based).
-
-    Each data row is converted with one ``float`` per cell and tested
-    as one array; only a row that fails goes through ``_parse_cell``
-    cell by cell, to name the first bad cell.
+    column labels; every other row starts with its row label. Blank
+    lines are skipped but counted. Ragged rows, non-numeric or negative
+    cells, and duplicate labels raise ``ParseError`` with the line and
+    column (1-based) of the earliest fault; on one line a wrong width
+    comes first, then a duplicate row label, then a bad cell.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        rows = [(i, row) for i, row in enumerate(csv.reader(handle), start=1) if row]
-    if not rows:
-        raise ParseError("empty file", line=1, column=1)
-    _line, header = rows[0]
+    records, lines = _records(path, "empty file")
+    header, line = records[0], lines[0]
     if len(header) < 2:
-        raise ParseError("header must hold a label cell and at least one column", line=1, column=1)
+        raise ParseError("header must hold a label cell and at least one column",
+                         line=line, column=1)
     if header[0] not in ("", "id"):
-        raise ParseError(
-            f"first header cell must be empty or 'id', got {header[0]!r}",
-            line=1,
-            column=1,
-        )
-    col_labels = header[1:]
+        raise ParseError(f"first header cell must be empty or 'id', got {header[0]!r}",
+                         line=line, column=1)
     seen = {}
-    for j, label in enumerate(col_labels, start=2):
-        if label in seen:
-            raise ParseError(f"duplicate column label {label!r}", line=1, column=j)
-        seen[label] = j
+    for j, label in enumerate(header[1:], start=2):
+        if seen.setdefault(label, j) != j:
+            raise ParseError(f"duplicate column label {label!r}", line=line, column=j)
 
-    row_labels = []
-    counts = []
-    seen = {}
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}",
-                line=line,
-                column=min(len(row), len(header)) + 1,
-            )
-        label = row[0]
-        if label in seen:
-            raise ParseError(f"duplicate row label {label!r}", line=line, column=1)
-        seen[label] = line
-        row_labels.append(label)
-        values = _parsed(row[1:], len(col_labels))
-        if values is None:
-            for j, cell in enumerate(row[1:], start=2):
-                _parse_cell(cell, line, j)
-        counts.append(values)
-    if not counts:
+    rows = records[1:]
+    if not rows:
         raise ParseError("no data rows", line=1, column=1)
-    return ContingencyTable.from_counts(
-        np.array(counts, dtype=float),
-        row_labels=row_labels,
-        col_labels=col_labels,
-        drop_empty=drop_empty,
-    )
+    seen = {}
+    repeat = next((k for k, row in enumerate(rows) if seen.setdefault(row[0], k) != k), len(rows))
+    counts = _parse_records(rows, lines[1:], len(header), 1, repeat)
+    if repeat < len(rows):
+        raise ParseError(f"duplicate row label {rows[repeat][0]!r}",
+                         line=lines[repeat + 1], column=1)
+    return ContingencyTable.from_counts(counts, row_labels=[row[0] for row in rows],
+                                        col_labels=header[1:], drop_empty=drop_empty)
 
 
 def _format_count(value: float) -> str:
@@ -176,9 +183,10 @@ def build_dtm(
     ordered by descending corpus count, then token. Documents left
     empty after filtering are dropped.
 
-    The count column is converted in one pass and tested as one array,
-    like a table row in ``read_contingency_csv``; ragged lines and bad
-    counts raise ``ParseError`` for the earliest offending line.
+    The counts are read like a table's cells: blank lines are skipped
+    but counted, and a ragged line or a bad count raises ``ParseError``
+    for the earliest one. The counts of a token, and of a document's
+    token, are summed in file order.
     """
     if min_count < 1:
         raise InputError(f"min_count must be at least 1, got {min_count}")
@@ -187,59 +195,42 @@ def build_dtm(
 
     stoplist = set()
     if stoplist_path is not None:
-        with open(stoplist_path, encoding="utf-8") as handle:
+        with open(stoplist_path, encoding="utf-8-sig") as handle:
             stoplist = {line.strip() for line in handle if line.strip()}
 
-    with open(token_counts_path, encoding="utf-8-sig", newline="") as handle:
-        rows = [(i, row) for i, row in enumerate(csv.reader(handle), start=1) if row]
-    if not rows:
-        raise ParseError("empty token-counts file", line=1, column=1)
-    _line, header = rows[0]
-    expected = ["doc_id", "token", "count"]
-    if [cell.strip().lower() for cell in header[:3]] != expected:
-        raise ParseError(
-            f"header must be doc_id,token,count, got {header!r}", line=1, column=1
-        )
+    records, lines = _records(token_counts_path, "empty token-counts file")
+    header = records[0]
+    if [cell.strip().lower() for cell in header[:3]] != ["doc_id", "token", "count"]:
+        raise ParseError(f"header must be doc_id,token,count, got {header!r}",
+                         line=lines[0], column=1)
+    triples = records[1:]
+    counts = _parse_records(triples, lines[1:], 3, 2, len(triples))[:, 0]
+    if stoplist:
+        live = [k for k, (_doc, token, _raw) in enumerate(triples) if token not in stoplist]
+        triples = [triples[k] for k in live]
+        counts = counts[live]
 
-    # the lines before the first ragged one hold the counts to parse; a
-    # bad count among them comes first, else the ragged line's error
-    ragged = next((k for k in range(1, len(rows)) if len(rows[k][1]) != 3), len(rows))
-    counts = _parsed((row[2] for _line, row in islice(rows, 1, ragged)), ragged - 1)
-    if counts is None:
-        for line, row in islice(rows, 1, ragged):
-            _parse_cell(row[2], line, 3)
-    if ragged < len(rows):
-        line, row = rows[ragged]
-        raise ParseError(f"expected 3 cells, got {len(row)}", line=line, column=len(row) + 1)
-
-    doc_order = []
-    cells = {}
-    totals = {}
-    for (_line, (doc, token, _raw)), count in zip(islice(rows, 1, None), map(float, counts)):
-        if token in stoplist:
-            continue
-        if doc not in cells:
-            doc_order.append(doc)
-            cells[doc] = {}
-        cells[doc][token] = cells[doc].get(token, 0.0) + count
-        totals[token] = totals.get(token, 0.0) + count
-
-    kept = [token for token, total in totals.items() if total > min_count]
-    kept.sort(key=lambda token: (-totals[token], token))
-    if max_vocab is not None:
-        kept = kept[:max_vocab]
-    if not kept or not doc_order:
+    docs, tokens = {}, {}
+    doc_codes = np.array([docs.setdefault(doc, len(docs)) for doc, _, _ in triples], dtype=int)
+    token_codes = np.array(
+        [tokens.setdefault(token, len(tokens)) for _, token, _ in triples], dtype=int
+    )
+    totals = np.bincount(token_codes, weights=counts, minlength=len(tokens)).tolist()
+    names = list(tokens)
+    kept = sorted(
+        (code for code, total in enumerate(totals) if total > min_count),
+        key=lambda code: (-totals[code], names[code]),
+    )[:max_vocab]
+    if not kept:
         raise InputError("no tokens survive the stoplist and frequency filters")
 
-    counts = np.zeros((len(doc_order), len(kept)))
-    index = {token: j for j, token in enumerate(kept)}
-    for i, doc in enumerate(doc_order):
-        for token, count in cells[doc].items():
-            j = index.get(token)
-            if j is not None:
-                counts[i, j] = count
+    # the counts of dropped tokens go to a spare last column
+    column = np.full(len(names), len(kept))
+    column[kept] = np.arange(len(kept))
+    table = np.zeros((len(docs), len(kept) + 1))
+    np.add.at(table, (doc_codes, column[token_codes]), counts)
     return ContingencyTable.from_counts(
-        counts, row_labels=doc_order, col_labels=kept, drop_empty=True
+        table[:, :-1], row_labels=list(docs), col_labels=[names[c] for c in kept], drop_empty=True
     )
 
 

@@ -10,7 +10,9 @@ loop and the single-vector projection call the row projection. The two
 SVDs and the loop share one sign rule, ``linalg._column_signs``. Only
 ``sparse`` chains dimensions: it alone deflates, through
 ``_deflate_through``, which the searches call to re-deflate their prior
-dimensions. A site is a module, or a function in it, of the package.
+dimensions. Both CSV readers take their records from ``io._records``,
+and only ``io._parse_records`` falls back to the per-cell parser. A site
+is a module, or a function in it, of the package.
 """
 
 import ast
@@ -35,6 +37,8 @@ CALLERS = {
     "_rank1_fits": {"sparse", "tuning"},
     "ppmd_deflate": {"sparse"},
     "_deflate_through": {"sparse", "tuning"},
+    "_records": {"io.read_contingency_csv", "io.build_dtm"},
+    "_parse_cell": {"io._parse_records"},
 }
 
 

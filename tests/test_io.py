@@ -118,6 +118,28 @@ class TestReadContingencyCsv:
         path.write_text("id,a,b\n\nx,1,2\ny,3,4\n\n", encoding="utf-8")
         assert read_contingency_csv(path).shape == (2, 2)
 
+    def test_blank_lines_counted_in_positions(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,a,b\n\nx,1,2\n\n\ny,3,-4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="negative") as info:
+            read_contingency_csv(path)
+        assert (info.value.line, info.value.column) == (6, 3)
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("\n\nlabels,a,b\nx,1,2\n", "first header cell", 1),
+            ("\n\nid\nx\n", "at least one column", 1),
+            ("\n\nid,a,a\nx,1,2\n", "duplicate column label", 3),
+        ],
+    )
+    def test_header_fault_names_header_line(self, tmp_path, text, message, column):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as info:
+            read_contingency_csv(path)
+        assert (info.value.line, info.value.column) == (3, column)
+
 
 class TestRoundTrip:
     def test_write_read_write_is_byte_stable(self, tmp_path, rng):
@@ -243,6 +265,28 @@ class TestBuildDtm:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ParseError, match="empty token-counts file"):
             build_dtm(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = self.corpus(tmp_path, ["d1,apple,2", "", "d2,apple,3", "", "d2,pear,2"])
+        table = build_dtm(path)
+        np.testing.assert_array_equal(table.counts, [[2, 0], [3, 2]])
+        path = self.corpus(tmp_path, ["d1,apple,2", "", "", "d2,apple,x"])
+        with pytest.raises(ParseError, match="non-numeric") as info:
+            build_dtm(path)
+        assert (info.value.line, info.value.column) == (5, 3)
+
+    def test_header_fault_names_header_line(self, tmp_path):
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["", "", "doc,token,count", "d1,apple,5"])
+        with pytest.raises(ParseError, match="doc_id,token,count") as info:
+            build_dtm(path)
+        assert (info.value.line, info.value.column) == (3, 1)
+
+    def test_stoplist_byte_order_mark(self, tmp_path):
+        path = self.corpus(tmp_path, ["d1,the,50", "d1,apple,3", "d2,apple,1"])
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes("\ufeffthe\nand\n".encode("utf-8"))
+        assert build_dtm(path, stoplist_path=stop).col_labels == ["apple"]
 
 
 class TestFormatSig:
@@ -380,6 +424,26 @@ def reference_table_rows(labels, weights, contrib, coords, n_dims, path):
             writer.writerow(row)
 
 
+def reference_dtm(triples, stoplist, min_count, max_vocab):
+    """The nested-dict aggregation: document order, token order and
+    counts of ``build_dtm`` on valid (doc, token, count) triples."""
+    doc_order, cells, totals = [], {}, {}
+    for doc, token, count in triples:
+        if token in stoplist:
+            continue
+        if doc not in cells:
+            doc_order.append(doc)
+            cells[doc] = {}
+        cells[doc][token] = cells[doc].get(token, 0.0) + count
+        totals[token] = totals.get(token, 0.0) + count
+    kept = [token for token, total in totals.items() if total > min_count]
+    kept.sort(key=lambda token: (-totals[token], token))
+    kept = kept[:max_vocab]
+    counts = np.array([[cells[doc].get(token, 0.0) for token in kept] for doc in doc_order])
+    nonempty = counts.sum(axis=1) > 0
+    return [d for d, k in zip(doc_order, nonempty) if k], kept, counts[nonempty]
+
+
 def parse_outcome(call):
     """The value ``call`` returns, or its ParseError as (message, line, column)."""
     try:
@@ -441,6 +505,8 @@ class TestRowParsingMatchesCellParsing:
             # and the other way round
             (["id,a,b", "x,1,2", "z,1", "y,1,oops"], (3, 3)),
             (["id,a,b", "x,1,2", "x,3,4", "y,-1,2"], (3, 1)),
+            # a line both too short and a duplicate: the width comes first
+            (["id,a,b", "x,1,2", "x,1", "y,1,oops"], (3, 3)),
         ],
     )
     def test_reader_reports_earliest_line(self, tmp_path, lines, position):
@@ -457,7 +523,7 @@ class TestRowParsingMatchesCellParsing:
              (5, 3), "non-numeric"),
             (["d1,a,2", "d1", "d2,a,3", "d2,c,-4"], (3, 2), "expected 3 cells"),
             (["d1,a,2", "d1,b,nan", "d2,a,3,4"], (3, 3), "non-finite"),
-            (["d1,a,2,9", "d1,b,nan"], (2, 5), "expected 3 cells"),
+            (["d1,a,2,9", "d1,b,nan"], (2, 4), "expected 3 cells"),
         ],
     )
     def test_dtm_reports_earliest_line(self, tmp_path, rows, position, message):
@@ -505,7 +571,7 @@ class TestCellParserNotCalledOnValidInput:
         write_lines(path, ["id,a,b,c", "x,1,2,3", "y,4,5,-6", "z,7,8,9"])
         with pytest.raises(ParseError, match="line 3, column 4"):
             read_contingency_csv(path)
-        assert parse_calls == [(3, 2), (3, 3), (3, 4)]
+        assert parse_calls == [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]
 
     def test_one_bad_count_falls_back(self, tmp_path, parse_calls):
         path = tmp_path / "tokens.csv"
@@ -513,6 +579,26 @@ class TestCellParserNotCalledOnValidInput:
         with pytest.raises(ParseError, match="line 3, column 3"):
             build_dtm(path)
         assert parse_calls == [(2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "stoplist, min_count, max_vocab", [((), 1, None), (("t0", "t3", "t7"), 4, 12)]
+)
+def test_dtm_matches_dict_aggregation(tmp_path, rng, stoplist, min_count, max_vocab):
+    """Shuffled triples, repeated (doc, token) pairs and fractional counts
+    sum to the same doubles in the same order as the nested dicts."""
+    values = [0.0, 0.1, 1 / 3, 2.7, 5.0]
+    triples = [
+        (f"d{rng.integers(30)}", f"t{rng.integers(40)}", values[rng.integers(5)])
+        for _ in range(900)
+    ]
+    path = tmp_path / "tokens.csv"
+    write_lines(path, ["doc_id,token,count", *(f"{d},{t},{c!r}" for d, t, c in triples)])
+    (tmp_path / "stop.txt").write_text("\n".join(stoplist), encoding="utf-8")
+    table = build_dtm(path, tmp_path / "stop.txt", min_count=min_count, max_vocab=max_vocab)
+    docs, tokens, counts = reference_dtm(triples, set(stoplist), min_count, max_vocab)
+    assert (table.row_labels, table.col_labels) == (docs, tokens)
+    np.testing.assert_array_equal(table.counts, counts)
 
 
 EDGE_VALUES = [0.0, -0.0, 1e-05, 0.0001, 999999.5, 1e16, 9999999999999998.0,

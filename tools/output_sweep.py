@@ -5,11 +5,15 @@ Usage: python tools/output_sweep.py PARENT_SRC CHANGE_SRC
 PARENT_SRC and CHANGE_SRC are directories that hold a ``sparseca``
 package, such as the ``src`` of two checkouts. Each tree first writes its
 own inputs: the bundled music table, the synthetic speech corpus at its
-default 43 documents and at 120 documents, and a token file of the
-43-document corpus, and the two trees' inputs are compared. Then every
-form in ``TABLE_FORMS`` runs on each table, and every form in
-``DTM_FORMS`` on the token file, each in a fresh interpreter through
-``python -m sparseca.cli``, the two trees side by side.
+default 43 documents and at 120 documents, and two token files of the
+43-document corpus, and the two trees' inputs are compared. One token
+file lists the triples document by document; the other shuffles them
+across documents, splits some counts over two triples with fractional
+parts, holds blank lines, and starts with a stoplisted triple of a
+document. Then every form in ``TABLE_FORMS`` runs on each table, and
+every form in ``DTM_FORMS`` on each token file, each in a fresh
+interpreter through ``python -m sparseca.cli``, the two trees side by
+side.
 
 A run pair differs when the exit codes, the standard output, the standard
 error or the bytes of any output file differ. The work directory and the
@@ -34,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 TABLES = ("music", "corpus", "corpus120")
+TOKEN_FILES = ("tokens", "tokens_mixed")
 
 # together they draw all seven plot kinds and pass every option the
 # sparse fits, searches and clustering read
@@ -67,6 +72,7 @@ DTM_FORMS = [
 
 # writes the inputs into the directory given as its argument
 WRITE_INPUTS = """
+import random
 import sys
 from pathlib import Path
 
@@ -82,11 +88,32 @@ tables = {
 }
 for name, table in tables.items():
     write_contingency_csv(table, out / f"{name}.csv")
-lines = ["doc_id,token,count"]
-for doc, row in zip(corpus.row_labels, corpus.counts):
-    lines += [f"{doc},{token},{int(n)}" for token, n in zip(corpus.col_labels, row) if n]
+triples = [
+    (doc, token, int(n))
+    for doc, row in zip(corpus.row_labels, corpus.counts)
+    for token, n in zip(corpus.col_labels, row) if n
+]
+lines = ["doc_id,token,count", *(f"{doc},{token},{n}" for doc, token, n in triples)]
 (out / "tokens.csv").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
-(out / "stoplist.txt").write_text("\\n".join(corpus.col_labels[:5]) + "\\n", encoding="utf-8")
+stoplist = corpus.col_labels[:5]
+(out / "stoplist.txt").write_text("\\n".join(stoplist) + "\\n", encoding="utf-8")
+
+# shuffled, blank lines, a stoplisted first triple for the document that
+# comes last otherwise, and some counts split over two triples of
+# fractional parts that sum to 1.05 times the count
+rng = random.Random(0)
+mixed = []
+for doc, token, n in triples:
+    if rng.random() < 0.3:
+        mixed += [f"{doc},{token},{n * 0.6!r}", f"{doc},{token},{n * 0.45!r}"]
+    else:
+        mixed.append(f"{doc},{token},{n}")
+rng.shuffle(mixed)
+last = list(dict.fromkeys(line.split(",")[0] for line in mixed))[-1]
+for k in sorted(rng.sample(range(len(mixed)), 20), reverse=True):
+    mixed.insert(k, "")
+lines = ["doc_id,token,count", f"{last},{stoplist[0]},4", *mixed]
+(out / "tokens_mixed.csv").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
 """
 
 
@@ -142,7 +169,7 @@ def sweep(parent: Path, change: Path, root: Path) -> tuple:
         if proc.returncode:
             raise SystemExit(f"writing the inputs failed:\n{err.decode()}")
     n_files = 0
-    for name in ("music.csv", "corpus.csv", "corpus120.csv", "tokens.csv", "stoplist.txt"):
+    for name in [f"{n}.csv" for n in TABLES + TOKEN_FILES] + ["stoplist.txt"]:
         n_files += 1
         if (root / "parent" / name).read_bytes() != (root / "change" / name).read_bytes():
             differences.append(f"input {name} differs")
@@ -152,12 +179,13 @@ def sweep(parent: Path, change: Path, root: Path) -> tuple:
             label = f"{table}-{i:02d}-{form[0]}"
             jobs.append((label, ["-m", "sparseca.cli", form[0], f"{table}.csv", *form[1:],
                                  "--out-dir", label]))
-    for i, form in enumerate(DTM_FORMS):
-        label = f"tokens-{i:02d}-dtm"
-        jobs.append((label, ["-m", "sparseca.cli", "dtm", "tokens.csv", *form,
-                             "--out", f"{label}/dtm.csv"]))
-        for _, work in trees:
-            (work / label).mkdir()
+    for tokens in TOKEN_FILES:
+        for i, form in enumerate(DTM_FORMS):
+            label = f"{tokens}-{i:02d}-dtm"
+            jobs.append((label, ["-m", "sparseca.cli", "dtm", f"{tokens}.csv", *form,
+                                 "--out", f"{label}/dtm.csv"]))
+            for _, work in trees:
+                (work / label).mkdir()
     for label, argv in jobs:
         n_files += run_pair(trees, label, argv, differences)
     return len(jobs), n_files, differences
