@@ -103,7 +103,7 @@ def read_contingency_csv(path, drop_empty: bool = False) -> ContingencyTable:
 
     rows = records[1:]
     if not rows:
-        raise ParseError("no data rows", line=1, column=1)
+        raise ParseError("no data rows", line=line, column=1)
     seen = {}
     repeat = next((k for k, row in enumerate(rows) if seen.setdefault(row[0], k) != k), len(rows))
     counts = _parse_records(rows, lines[1:], len(header), 1, repeat)
@@ -200,7 +200,7 @@ def build_dtm(
 
     records, lines = _records(token_counts_path, "empty token-counts file")
     header = records[0]
-    if [cell.strip().lower() for cell in header[:3]] != ["doc_id", "token", "count"]:
+    if [cell.strip().lower() for cell in header] != ["doc_id", "token", "count"]:
         raise ParseError(f"header must be doc_id,token,count, got {header!r}",
                          line=lines[0], column=1)
     triples = records[1:]

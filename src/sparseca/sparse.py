@@ -25,10 +25,8 @@ from .linalg import _column_signs, _l1_project_rows, _leading_svd
 
 VARIANTS = ("doubly_sparse", "column_sparse")
 COL_SCALES = ("barycentric", "rescaled")
-# spacing of the budget grid walked by nnz_target_search, and the number
-# of consecutive budgets it fits as one stack
+# spacing of the budget grid walked by nnz_target_search
 NNZ_GRID_STEP = 0.2
-NNZ_CHUNK = 8
 # a rank-1 fit stops at its first column-weight change below STOP_TOL
 STOP_TOL = 1e-7
 # the rank-1 loop takes ANDERSON_WARMUP plain steps, then extrapolates each
@@ -262,10 +260,12 @@ def _rank1_fits(z, constraints, start=None, max_iter=200) -> _StackFit:
     Cross-validation fits the folds and grid cells of a sweep as a stack
     of matrices; ``weight_paths``, the grid searches and
     ``nnz_target_search`` fit their budgets of one matrix as a
-    shared-matrix stack; ``pmd_rank1`` is a stack of one member. The loop
-    never warns: each caller warns for the members it uses that stopped
-    at ``max_iter`` (``_warn_unconverged``). The weights leave under the
-    SVDs' sign rule, ``linalg._column_signs``.
+    shared-matrix stack, the last up to the first budget whose square
+    reaches its target, as a binding budget then keeps enough weights;
+    ``pmd_rank1`` is a stack of one member. The loop never warns: each
+    caller warns for the members it uses that stopped at ``max_iter``
+    (``_warn_unconverged``). The weights leave under the SVDs' sign rule,
+    ``linalg._column_signs``.
     """
     if start is None:
         start = _leading_svd(z)[1][..., 0]
@@ -538,13 +538,17 @@ def nnz_target_search(z: np.ndarray, target: int, axis: str = "cols") -> NnzSear
     value with the other side unpenalized, and returns the first budget
     reaching ``target`` nonzeros on ``axis``. If no grid value reaches
     it, the closest achieving budget is returned with
-    ``target_met=False`` and a warning. Every fit warm-starts from the
-    leading right singular vector of ``z``, as ``pmd_rank1`` does, taken
-    once for the whole walk.
+    ``target_met=False`` and a warning.
 
-    The walk fits ``NNZ_CHUNK`` (8) consecutive budgets at a time, as one
-    stack over the one matrix ``z`` and the one warm start, and stops
-    after the first chunk that holds a hit. Each fit equals its own
+    The walk ends at the first budget ``c`` with ``c**2 >= target``: a
+    unit vector's L1 norm is at most the square root of its nonzero
+    count, so a binding budget keeps at least ``c**2`` weights
+    (``floor(c**2)`` or one more on tied maxima) at every iterate, the
+    capped one included. Without a bind the weights are the normalized
+    image of the other side, short only where it has exact zeros, and
+    the walk reports the closest count among the budgets it fitted.
+    These are fitted as one stack over ``z`` from its leading right
+    singular vector, as ``pmd_rank1`` starts; each fit equals its own
     ``pmd_rank1`` fit, and only the fits up to the hit warn when they do
     not converge, as a walk of single fits would.
     """
@@ -564,35 +568,29 @@ def _nnz_walk(z, target, axis, stacklevel) -> tuple:
     if not 1 <= target <= length:
         raise InputError(f"target must be in [1, {length}], got {target}")
     grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
+    # the first budget with c**2 >= target is the last the walk can need
+    grid = grid[: np.count_nonzero(grid * grid < target) + 1]
     if axis == "cols":
         constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
     else:
         constraints = [
             SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
         ]
-    start = _leading_svd(z)[1][:, 0]
-    best = None
-    for lo in range(0, grid.size, NNZ_CHUNK):
-        fit = _rank1_fits(z, constraints[lo : lo + NNZ_CHUNK], start)
-        nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
-        hits = np.flatnonzero(nnz >= target)
-        if hits.size:
-            i = hits[0]
-            _warn_unconverged(fit, stacklevel + 1, count=i + 1)
-            found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), True)
-            return found, fit.factor(i, constraints[lo + i])
-        _warn_unconverged(fit, stacklevel + 1)
-        # the first of the chunk's largest counts, as a walk of single fits finds it
-        i = int(nnz.argmax())
-        if best is None or nnz[i] > best[0].nnz:
-            found = NnzSearchResult(float(grid[lo + i]), int(nnz[i]), False)
-            best = found, fit.factor(i, constraints[lo + i])
-    warnings.warn(
-        f"no grid budget reaches {target} nonzero {axis} weights; "
-        f"closest is {best[0].nnz} at {best[0].value:.6g}",
-        stacklevel=stacklevel + 1,
-    )
-    return best
+    fit = _rank1_fits(z, constraints, _leading_svd(z)[1][:, 0])
+    nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
+    # the first hit, or else the first of the largest counts, as a walk of
+    # single fits finds them
+    i = int(np.minimum(nnz, target).argmax())
+    met = bool(nnz[i] >= target)
+    _warn_unconverged(fit, stacklevel + 1, count=i + 1 if met else None)
+    found = NnzSearchResult(float(grid[i]), int(nnz[i]), met)
+    if not met:
+        warnings.warn(
+            f"no grid budget reaches {target} nonzero {axis} weights; "
+            f"closest is {found.nnz} at {found.value:.6g}",
+            stacklevel=stacklevel + 1,
+        )
+    return found, fit.factor(i, constraints[i])
 
 
 @dataclass

@@ -109,10 +109,6 @@ class _Frame:
             data_plot_width=_num(self.width), data_plot_height=_num(self.height),
         )
 
-    def attrs(self) -> str:
-        """The mapping as markup for a start tag written by hand."""
-        return _attrs(self.data())
-
 
 def _padded(values, pad):
     lo = float(np.min(values))

@@ -16,9 +16,9 @@ only when earlier dimensions were deflated out. No search takes a full
 thin SVD. The cells' rank-1 fits then run as one stack over that
 one matrix, which every member shares rather than copies: a grid search
 or a weight path fits all its budgets in one call of the alternating
-loop, ``sparse._rank1_fits`` (the nonzero-target search walks its grid
-8 budgets at a time the same way), and each member equals its own
-``pmd_rank1`` fit.
+loop, ``sparse._rank1_fits`` (the nonzero-target search too, up to the
+first budget whose square reaches its target, where a binding budget
+keeps enough weights), and each member equals its own ``pmd_rank1`` fit.
 
 Cross-validation refits every fold for a fixed number of sweeps, and the
 folds and cells of a search are independent, so each sweep fits them as

@@ -140,6 +140,13 @@ class TestReadContingencyCsv:
             read_contingency_csv(path)
         assert (info.value.line, info.value.column) == (3, column)
 
+    def test_header_only_after_blank_lines_names_header_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n\nid,a,b\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="no data rows") as info:
+            read_contingency_csv(path)
+        assert (info.value.line, info.value.column) == (3, 1)
+
 
 class TestRoundTrip:
     def test_write_read_write_is_byte_stable(self, tmp_path, rng):
@@ -281,6 +288,16 @@ class TestBuildDtm:
         with pytest.raises(ParseError, match="doc_id,token,count") as info:
             build_dtm(path)
         assert (info.value.line, info.value.column) == (3, 1)
+
+    @pytest.mark.parametrize("data", ["d1,apple,2,1", "d1,apple,2"])
+    def test_header_longer_than_three_cells_rejected(self, tmp_path, data):
+        # with 4-cell data lines the header was accepted and the first line
+        # rejected; with 3-cell ones the extra header cell was ignored
+        path = tmp_path / "tokens.csv"
+        write_lines(path, ["", "doc_id,token,count,weight", data])
+        with pytest.raises(ParseError, match="header must be doc_id,token,count") as info:
+            build_dtm(path)
+        assert (info.value.line, info.value.column) == (2, 1)
 
     def test_stoplist_byte_order_mark(self, tmp_path):
         path = self.corpus(tmp_path, ["d1,the,50", "d1,apple,3", "d2,apple,1"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -348,6 +348,24 @@ class TestL1ConstrainedUnitVector:
         j = np.abs(x).argmax()
         one_sparse[j] = np.sign(x[j]) or 1.0
         assert x @ u >= x @ one_sparse - 1e-9
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_binding_budget_keeps_at_least_c_squared_weights(self, data):
+        # a unit vector with k nonzeros has L1 norm at most sqrt(k), so a
+        # budget c that binds keeps at least c**2 weights; on tied maxima
+        # the projection keeps floor(c**2) or one more. Small integers make
+        # tied maxima common.
+        n = data.draw(st.integers(2, 12))
+        values = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-10, 10).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+        )
+        x = data.draw(hnp.arrays(float, n, elements=values))
+        budgets = [b for b in (1.0, np.sqrt(2.0), 1.5, 2.0, 3.0) if b <= np.sqrt(n)]
+        c = data.draw(st.one_of(st.sampled_from(budgets), st.floats(1.0, np.sqrt(n))))
+        assume(np.abs(x).sum() > c * np.linalg.norm(x))
+        assert np.count_nonzero(l1_constrained_unit_vector(x, c)) >= np.floor(c * c)
 
     def test_rejects_bad_input(self):
         with pytest.raises(DegenerateInputError):

@@ -8,10 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sparseca import sparse
 from sparseca.linalg import _leading_svd
 from sparseca.sparse import (
     ANDERSON_WARMUP,
-    NNZ_CHUNK,
     NNZ_GRID_STEP,
     NnzSearchResult,
     SparsityConstraint,
@@ -97,6 +97,19 @@ def serial_nnz_target_search(z, target, axis="cols"):
     return best
 
 
+def spy(monkeypatch, name, measure):
+    """Wrap ``sparseca.sparse.<name>`` so that each call first appends
+    ``measure(*args)`` to the list returned."""
+    function, seen = getattr(sparse, name), []
+
+    def wrapped(*args, **kwargs):
+        seen.append(measure(*args))
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, name, wrapped)
+    return seen
+
+
 def messages_of(call, *args, **kwargs):
     """Result of ``call`` and the texts of every warning it emitted."""
     with warnings.catch_warnings(record=True) as caught:
@@ -132,9 +145,9 @@ class TestSharedMatrixStack:
         assert np.count_nonzero(stack.v[4]) == np.count_nonzero(stack.v[5]) == 1
 
     def test_members_that_extrapolate_equal_their_own_fits(self, large_z):
-        # the first walk chunk of the benchmark's first large table: two
+        # the first 8 walk budgets of the benchmark's first large table: two
         # members stop inside the warm-up, the others extrapolate
-        grid = np.arange(1.0, 1.0 + NNZ_CHUNK * NNZ_GRID_STEP, NNZ_GRID_STEP)
+        grid = np.array([1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4])
         constraints = [SparsityConstraint.unpenalized_rows(value) for value in grid]
         stack = _rank1_fits(large_z, constraints)
         assert min(stack.n_iter) <= ANDERSON_WARMUP < max(stack.n_iter)
@@ -248,7 +261,8 @@ class TestGridSearchesMatchSerial:
 class TestNnzWalkMatchesSerial:
     """Seed 2's 12x30 matrix keeps 1, 4, 4, 4, 4, 6, 10, 12, 14, 15, ...
     column weights along the 23-value grid, so each target below is first
-    reached at a known place in the chunks of 8."""
+    reached at a known place before the walk's cut, the first budget whose
+    square reaches the target."""
 
     @pytest.fixture
     def z(self):
@@ -257,8 +271,8 @@ class TestNnzWalkMatchesSerial:
     @pytest.mark.parametrize(
         "target, first_hit",
         [(6, 5), (12, 7), (15, 9), (26, 15), (1, 0)],
-        ids=["inside first chunk", "last of first chunk", "inside second chunk",
-             "last of second chunk", "first value"],
+        ids=["hit 5 of 9 budgets", "hit 7 of 14 budgets", "hit 9 of 16 budgets",
+             "hit 15 of 22 budgets", "first value"],
     )
     def test_hit(self, z, target, first_hit):
         grid = np.arange(1.0, np.sqrt(30.0) + 1e-9, NNZ_GRID_STEP)
@@ -277,6 +291,29 @@ class TestNnzWalkMatchesSerial:
         expected, expected_messages = messages_of(serial_nnz_target_search, z, 30)
         result, result_messages = messages_of(nnz_target_search, z, 30)
         assert result == expected and not result.target_met
+        assert result_messages == expected_messages
+        assert len(result_messages) == 1 and "closest" in result_messages[0]
+
+    @pytest.mark.parametrize(
+        "target, axis", [(1, "cols"), (6, "cols"), (12, "cols"), (20, "cols"), (8, "rows")]
+    )
+    def test_one_stack_up_to_the_cut(self, z, monkeypatch, target, axis):
+        sizes = spy(monkeypatch, "_rank1_fits", lambda z, constraints, *_: len(constraints))
+        nnz_target_search(z, target, axis=axis)
+        length = z.shape[0] if axis == "rows" else z.shape[1]
+        grid = np.arange(1.0, np.sqrt(length) + 1e-9, NNZ_GRID_STEP)
+        cut = np.count_nonzero(grid**2 < target) + 1
+        assert cut < grid.size
+        assert sizes == [cut]
+
+    @pytest.mark.parametrize("target", [19, 20, 25])
+    def test_unreachable_target_cut_inside_grid(self, z, target):
+        # 18 nonzero columns: no budget reaches the target, and the cut
+        # leaves budgets of the grid unfitted
+        z[:, 18:] = 0.0
+        expected, expected_messages = messages_of(serial_nnz_target_search, z, target)
+        result, result_messages = messages_of(nnz_target_search, z, target)
+        assert result == expected and not result.target_met and result.nnz == 18
         assert result_messages == expected_messages
         assert len(result_messages) == 1 and "closest" in result_messages[0]
 
@@ -305,16 +342,18 @@ class TestNnzWalkWarnings:
     """Only the fits a walk of single fits would have made may warn."""
 
     def walk_with_unconverged(self, mark_unconverged, changes):
-        # target 6 is first reached at grid index 5, inside the first
-        # chunk; ``changes`` maps the members made to look capped to the
+        # target 6 is first reached at grid index 5, and the walk's one
+        # stack runs to index 8; ``changes`` maps the members made to look capped to the
         # last change their warning reports
         z = np.random.default_rng(2).normal(size=(12, 30))
         mark_unconverged(changes)
         return messages_of(nnz_target_search, z, 6)
 
-    def test_members_after_the_hit_do_not_warn(self, mark_unconverged):
-        assert NNZ_CHUNK == 8
+    def test_members_after_the_hit_do_not_warn(self, mark_unconverged, monkeypatch):
+        stacks = spy(monkeypatch, "_warn_unconverged", lambda fit, *_: fit.n_iter.size)
         result, messages = self.walk_with_unconverged(mark_unconverged, {6: 0.5, 7: 0.5})
+        # members 6 and 7 are in the walk's one stack
+        assert len(stacks) == 1 and stacks[0] > 7
         assert result.value == pytest.approx(2.0) and result.target_met
         assert messages == []
 

@@ -379,7 +379,7 @@ def reference_weight_path(path_result, spec):
             else:
                 inner.append(reference_polyline(pts, color,
                                                 f' class="{side}-path" data-index="{j}"'))
-        parts.append(f'<g id="{side}-panel"{frame.attrs()}>')
+        parts.append(f'<g id="{side}-panel"{svg._attrs(frame.data())}>')
         parts.extend(inner)
         parts.append(svg._text(16, y0 - 6, f"{side} weights"))
         parts.append("</g>")

@@ -49,6 +49,9 @@ TABLE_FORMS = [
     ["sca", "--sumabs", "0.5", "--nonzero-only"],
     ["sca", "--sumabsu", "2", "--sumabsv", "2", "--dims", "3"],
     ["sca", "--variant", "column", "--nnz", "5"],
+    # on the corpora the walk's cut falls inside the grid, past the hit
+    ["sca", "--variant", "column", "--nnz", "40"],
+    ["sca", "--nnz", "20", "--dims", "2"],
     ["sca", "--variant", "column", "--sumabsv", "1.5", "--dims", "1",
      "--col-scale", "barycentric"],
     ["tune", "--step", "0.1"],
