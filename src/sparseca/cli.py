@@ -50,8 +50,16 @@ def _add_table_arg(parser):
     parser.add_argument("--out-dir", default=".", help="where outputs are written")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help raises, so
+    ``main`` reports it as any closed standard output; argparse ignores it."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparseca",
         description="Sparse correspondence analysis of contingency tables.",
     )
@@ -59,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ca", help="standard correspondence analysis")
     _add_table_arg(p)
-    p.add_argument("--dims", type=int, default=None, help="dimensions to keep (default: all)")
+    p.add_argument("--dims", type=int, default=None,
+                   help="dimensions to keep (default: 2, or 1 if the table has one)")
     p.set_defaults(func=_cmd_ca)
 
     p = sub.add_parser("sca", help="sparse correspondence analysis")
@@ -227,7 +236,7 @@ def _prior_factors(table, after):
 
 def _cmd_ca(args):
     table = _read_table(args)
-    model = fit_ca(table, n_dims=args.dims)
+    model = fit_ca(table, n_dims=_fitted_dims(args, table.shape))
     out = _out_dir(args)
     paths = write_tables_csv(model, out)
     render_svg(model, PlotSpec("symmetric_map", dims=_map_dims(model), out_path=out / "map.svg"))

@@ -576,7 +576,7 @@ def _nnz_walk(z, target, axis, stacklevel) -> tuple:
         constraints = [
             SparsityConstraint.absolute(value, np.sqrt(z.shape[1])) for value in grid
         ]
-    fit = _rank1_fits(z, constraints, _leading_svd(z)[1][:, 0])
+    fit = _rank1_fits(z, constraints)
     nnz = np.count_nonzero(fit.v if axis == "cols" else fit.u, axis=1)
     # the first hit, or else the first of the largest counts, as a walk of
     # single fits finds them
@@ -591,21 +591,6 @@ def _nnz_walk(z, target, axis, stacklevel) -> tuple:
             stacklevel=stacklevel + 1,
         )
     return found, fit.factor(i, constraints[i])
-
-
-@dataclass
-class GramReport:
-    """Pairwise inner products between fitted dimensions.
-
-    Plain dot products for the weight vectors; mass-weighted products
-    for the coordinates. Exact orthogonality is lost under sparsity, so
-    off-diagonal magnitudes measure how far the fit drifts from it.
-    """
-
-    u_gram: np.ndarray
-    v_gram: np.ndarray
-    a_gram: np.ndarray
-    b_gram: np.ndarray
 
 
 @dataclass
@@ -628,7 +613,15 @@ class SparseCAModel:
     explained_ratios, explained_cumulative : ndarray
         Per-dimension and running share of the residual variance
         captured by projection onto the span of the column weights.
-    gram_report : GramReport
+
+    Sparse dimensions are only nearly orthogonal; the off-diagonal
+    entries of their weight and mass-weighted coordinate products
+    measure how far::
+
+        u_gram = model.row_weights.T @ model.row_weights
+        v_gram = model.col_weights.T @ model.col_weights
+        a_gram = model.row_coords.T @ (model.row_coords * model.row_masses[:, None])
+        b_gram = model.col_coords.T @ (model.col_coords * model.col_masses[:, None])
 
     Like ``CADecomposition`` it reports ``eigenvalues``, ``n_dims`` and
     ``total_inertia``, so ``ca.contributions`` applies unchanged; the
@@ -647,7 +640,6 @@ class SparseCAModel:
     col_coords: np.ndarray
     explained_ratios: np.ndarray
     explained_cumulative: np.ndarray
-    gram_report: GramReport
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -793,14 +785,6 @@ def fit_sparse_ca(
 
     row_coords = np.column_stack(a_cols)
     col_coords = np.column_stack(b_cols)
-    u_mat = np.column_stack([f.u for f in factors])
-    v_mat = np.column_stack([f.v for f in factors])
-    gram = GramReport(
-        u_gram=u_mat.T @ u_mat,
-        v_gram=v_mat.T @ v_mat,
-        a_gram=row_coords.T @ (row_coords * r[:, None]),
-        b_gram=col_coords.T @ (col_coords * c[:, None]),
-    )
     cumulative = np.array(cumulative)
     ratios = np.clip(np.diff(cumulative, prepend=0.0), 0.0, None)
     return SparseCAModel(
@@ -816,5 +800,4 @@ def fit_sparse_ca(
         col_coords=col_coords,
         explained_ratios=ratios,
         explained_cumulative=cumulative,
-        gram_report=gram,
     )

@@ -469,6 +469,23 @@ def test_default_dims_fit_the_only_dimension_of_a_2x2_table(tmp_path, capsys, ar
         assert "coord_1" in header and not [name for name in header if name.endswith("_2")]
 
 
+def test_ca_without_dims_writes_two_dimensions_and_every_eigenvalue(music_csv, tmp_path, capsys):
+    default, two = tmp_path / "default", tmp_path / "two"
+    assert main(["ca", str(music_csv), "--out-dir", str(default)]) == 0
+    default_stdout = capsys.readouterr().out
+    assert main(["ca", str(music_csv), "--dims", "2", "--out-dir", str(two)]) == 0
+    assert default_stdout.replace(str(default), str(two)) == capsys.readouterr().out
+    for name in ("rows.csv", "cols.csv"):
+        assert read_rows(default / name)[0] == [
+            "label", "contrib_1", "coord_1", "contrib_2", "coord_2",
+        ]
+    assert [row[0] for row in read_rows(default / "eigenvalues.csv")[1:]] == [
+        str(k) for k in range(1, 9)
+    ]
+    for name in ("eigenvalues.csv", "rows.csv", "cols.csv", "map.svg", "scree.svg"):
+        assert (default / name).read_bytes() == (two / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sca", "--dims", "1", "--sumabs", "0.8"], ["paths"]],
@@ -679,10 +696,9 @@ def test_closed_stdout_fails_once_with_exit_1(music_csv, tmp_path, unbuffered):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_after_help_keeps_the_exit_codes(unbuffered):
-    # argparse ignores a failed write of its help, which unbuffered leaves
-    # nothing to report (exit 0); buffered, main's flush finds it (exit 1)
+def test_closed_stdout_after_help_fails_once_with_exit_1(unbuffered):
+    # unbuffered, the help's own write fails; buffered, main's flush does
     code, err = run_with_closed_stdout(["tune", "--help"], unbuffered)
-    assert code == (0 if unbuffered else 1), err
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == code, err
+    assert code == 1, err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
     assert "Exception ignored" not in err

@@ -641,16 +641,20 @@ class TestFitSparseCa:
         )
 
     def test_gram_report(self, rng):
+        # the products the SparseCAModel docstring gives
         t = ContingencyTable.from_counts(random_table(rng, 9, 8))
         model = fit_sparse_ca(t, [SparsityConstraint.coupled(0.6)] * 2)
-        g = model.gram_report
-        np.testing.assert_allclose(np.diag(g.u_gram), 1.0, atol=1e-9)
-        np.testing.assert_allclose(np.diag(g.v_gram), 1.0, atol=1e-9)
+        u_gram = model.row_weights.T @ model.row_weights
+        v_gram = model.col_weights.T @ model.col_weights
+        a_gram = model.row_coords.T @ (model.row_coords * model.row_masses[:, None])
+        b_gram = model.col_coords.T @ (model.col_coords * model.col_masses[:, None])
+        np.testing.assert_allclose(np.diag(u_gram), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.diag(v_gram), 1.0, atol=1e-9)
         np.testing.assert_allclose(
-            np.diag(g.a_gram), model.eigenvalues, atol=1e-10
+            np.diag(a_gram), model.eigenvalues, atol=1e-10
         )
         np.testing.assert_allclose(
-            np.diag(g.b_gram), model.eigenvalues, atol=1e-10
+            np.diag(b_gram), model.eigenvalues, atol=1e-10
         )
 
     def test_column_sparse_variant(self, rng):

@@ -45,6 +45,8 @@ TOKEN_FILES = ("tokens", "tokens_mixed")
 TABLE_FORMS = [
     ["ca"],
     ["ca", "--dims", "1"],
+    # more dimensions than the default two, all eight of the music table
+    ["ca", "--dims", "8"],
     ["sca", "--sumabs", "0.9"],
     ["sca", "--sumabs", "0.5", "--nonzero-only"],
     ["sca", "--sumabsu", "2", "--sumabsv", "2", "--dims", "3"],
